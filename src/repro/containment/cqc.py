@@ -25,13 +25,14 @@ The generalizations noted in the paper are provided too:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.arith.implication import implies_disjunction
 from repro.containment.mappings import containment_mappings
 from repro.containment.normalize import normalize_cqc
 from repro.datalog.atoms import Comparison
 from repro.datalog.rules import Rule
+from repro.datalog.substitution import Substitution
 from repro.errors import NotApplicableError
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "is_contained_in_union_cqc",
     "equivalent_cqc",
     "theorem51_certificate",
+    "theorem51_disjuncts",
 ]
 
 
@@ -50,8 +52,20 @@ def _check_cqc(rule: Rule, role: str) -> None:
         )
 
 
-def _mapped_comparisons(mapping, comparisons: Sequence[Comparison]) -> list[Comparison]:
-    return [mapping.apply_comparison(c) for c in comparisons]
+def theorem51_disjuncts(
+    normalized_c1: Rule, union: Iterable[Rule]
+) -> list[tuple[Substitution, list[Comparison]]]:
+    """The right-hand side of Theorem 5.1's implication: for every
+    containment mapping h from a (normalized) member of *union* into
+    *normalized_c1*, the pair ``(h, h(A(member)))``."""
+    disjuncts = []
+    for member in union:
+        normalized = normalize_cqc(member)
+        for mapping in containment_mappings(normalized, normalized_c1):
+            disjuncts.append(
+                (mapping, [mapping.apply_comparison(c) for c in normalized.comparisons])
+            )
+    return disjuncts
 
 
 def is_contained_in_union_cqc(c1: Rule, union: Iterable[Rule]) -> bool:
@@ -68,13 +82,8 @@ def is_contained_in_union_cqc(c1: Rule, union: Iterable[Rule]) -> bool:
         _check_cqc(member, "union member")
 
     n1 = normalize_cqc(c1)
-    base = list(n1.comparisons)
-    disjuncts: list[list[Comparison]] = []
-    for member in members:
-        n2 = normalize_cqc(member)
-        for mapping in containment_mappings(n2, n1):
-            disjuncts.append(_mapped_comparisons(mapping, n2.comparisons))
-    return implies_disjunction(base, disjuncts)
+    disjuncts = [comparisons for _, comparisons in theorem51_disjuncts(n1, members)]
+    return implies_disjunction(list(n1.comparisons), disjuncts)
 
 
 def is_contained_cqc(c1: Rule, c2: Rule) -> bool:
@@ -98,13 +107,13 @@ def theorem51_certificate(c1: Rule, c2: Rule) -> dict:
     _check_cqc(c2, "C2")
     n1 = normalize_cqc(c1)
     n2 = normalize_cqc(c2)
-    mappings = list(containment_mappings(n2, n1))
-    disjuncts = [_mapped_comparisons(m, n2.comparisons) for m in mappings]
+    pairs = theorem51_disjuncts(n1, (n2,))
+    disjuncts = [comparisons for _, comparisons in pairs]
     base = list(n1.comparisons)
     return {
         "normalized_c1": n1,
         "normalized_c2": n2,
-        "mappings": mappings,
+        "mappings": [mapping for mapping, _ in pairs],
         "base": base,
         "disjuncts": disjuncts,
         "contained": implies_disjunction(base, disjuncts),

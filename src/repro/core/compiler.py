@@ -40,7 +40,7 @@ from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.constraints.subsumption import subsumes
 from repro.datalog.rules import Rule
 from repro.localtests.algebraic import AlgebraicLocalTest
-from repro.localtests.complete import complete_local_test_insertion
+from repro.localtests.complete import ContainmentLocalTest
 from repro.localtests.icq import analyze_icq, box_local_test, interval_local_test
 from repro.localtests.interval_datalog import IntervalDatalogTest
 from repro.localtests.reduction import check_cqc_form
@@ -192,9 +192,9 @@ class LocalTestPlan:
     algebraic_test: Optional[AlgebraicLocalTest] = None
     analysis: object = None
     interval_test: Optional[IntervalDatalogTest] = None
-    assumed: Sequence[Rule] = ()
-    #: for union constraints: (disjunct, assumed-companions) pairs
-    union_parts: Sequence[tuple[Rule, Sequence[Rule]]] = ()
+    #: the Theorem 5.2 tests, all of which must pass: one for
+    #: ``"containment"``, one per disjunct for ``"union-containment"``
+    containment_tests: Sequence[ContainmentLocalTest] = ()
 
     def run(self, values: tuple, relation) -> Optional[bool]:
         """Execute the plan; ``None`` when no local test applies."""
@@ -208,27 +208,18 @@ class LocalTestPlan:
             return self.interval_test.passes(values, relation)
         if self.kind == "box":
             return box_local_test(self.analysis, values, relation)
-        if self.kind == "containment":
-            return complete_local_test_insertion(
-                self.rule, self.predicate, values, relation, self.assumed
-            )
-        assert self.kind == "union-containment"
-        for disjunct, assumed in self.union_parts:
-            if not complete_local_test_insertion(
-                disjunct, self.predicate, values, relation, assumed
-            ):
-                return False
-        return True
+        assert self.kind in ("containment", "union-containment")
+        return all(test.passes(values, relation) for test in self.containment_tests)
 
     def run_against(
         self, values: tuple, local_db, constraint_name: str
     ) -> Optional[bool]:
-        """Execute the plan against a database.  An algebraic test runs as
-        index probes on *local_db*'s live relation, or is pushed down to
-        the storage backend when it runs compiled Theorem 5.3 tests
-        itself (``run_local_test``, e.g. the SQLite backend's indexed
-        ``SELECT EXISTS``).  Verdicts are identical to :meth:`run`; only
-        where the test executes changes."""
+        """Execute the plan against a database.  Algebraic and containment
+        tests select from *local_db*'s live relation by index probes; an
+        algebraic test is pushed down to the storage backend instead when
+        it runs compiled Theorem 5.3 tests itself (``run_local_test``,
+        e.g. the SQLite backend's indexed ``SELECT EXISTS``).  Verdicts are
+        identical to :meth:`run`; only where the test executes changes."""
         if self.kind == "algebraic":
             runner = getattr(local_db, "run_local_test", None)
             if runner is not None:
@@ -238,6 +229,10 @@ class LocalTestPlan:
                     (constraint_name, self.predicate),
                 )
             return self.algebraic_test.passes_in(values, local_db)
+        if self.kind in ("containment", "union-containment"):
+            return all(
+                test.passes_in(values, local_db) for test in self.containment_tests
+            )
         return self.run(values, local_db.facts(self.predicate))
 
 
@@ -510,7 +505,10 @@ class ConstraintCompiler:
             if other.is_single_rule and self._shares_local_form(other, predicate)
         ]
         return LocalTestPlan(
-            "containment", predicate, rule=rule, assumed=tuple(assumed)
+            "containment",
+            predicate,
+            rule=rule,
+            containment_tests=(ContainmentLocalTest(rule, predicate, assumed),),
         )
 
     def _build_union_plan(
@@ -545,16 +543,13 @@ class ConstraintCompiler:
             if other_preds & self.local_predicates:
                 return LocalTestPlan("none", predicate)
             usable.append(disjunct)
-        all_disjunct_rules = [
-            d
-            for d in disjuncts
-            if predicate in {a.predicate for a in d.ordinary_subgoals}
-        ]
-        parts = [
-            (disjunct, tuple(d for d in all_disjunct_rules if d is not disjunct))
+        tests = tuple(
+            ContainmentLocalTest(
+                disjunct, predicate, [d for d in usable if d is not disjunct]
+            )
             for disjunct in usable
-        ]
-        return LocalTestPlan("union-containment", predicate, union_parts=tuple(parts))
+        )
+        return LocalTestPlan("union-containment", predicate, containment_tests=tests)
 
     def _shares_local_form(self, constraint: Constraint, predicate: str) -> bool:
         try:
@@ -583,19 +578,6 @@ class ConstraintCompiler:
             return "subsumed"
         if self.is_local_constraint(constraint):
             return "purely-local"
-        if not constraint.is_single_rule:
-            try:
-                disjuncts = constraint.as_union()
-            except ReproError:
-                return "none"
-            for disjunct in disjuncts:
-                if predicate not in {a.predicate for a in disjunct.ordinary_subgoals}:
-                    continue
-                try:
-                    check_cqc_form(disjunct, predicate)
-                except NotApplicableError:
-                    return "none"
-            return "union-containment"
         plan = self.local_test_plan(constraint, predicate)
         if plan.kind == "interval-datalog":
             return "interval"

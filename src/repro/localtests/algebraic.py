@@ -23,16 +23,14 @@ CQC and **independent of the data**, which the T5.3 benchmark verifies.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.errors import NotApplicableError
-from repro.datalog.atoms import Atom, ComparisonOp
+from repro.datalog.atoms import ComparisonOp
 from repro.datalog.database import Database
 from repro.datalog.rules import Rule
-from repro.datalog.terms import Constant, Variable
-from repro.localtests.reduction import check_cqc_form, local_subgoal
+from repro.datalog.terms import Variable
+from repro.localtests.reduction import Component, ReductionTemplate, skeletons
 from repro.relalg.evaluate import is_nonempty
 from repro.relalg.expressions import (
     Col,
@@ -45,19 +43,6 @@ from repro.relalg.expressions import (
 )
 
 __all__ = ["AlgebraicLocalTest"]
-
-
-# A symbolic term of the template: either a component index of the local
-# tuple, a remote variable, or a constant value.
-@dataclass(frozen=True, slots=True)
-class _Component:
-    index: int
-
-
-@dataclass(frozen=True, slots=True)
-class _TemplateAtom:
-    predicate: str
-    args: tuple  # of _Component | Variable | object-constant
 
 
 class AlgebraicLocalTest:
@@ -77,93 +62,48 @@ class AlgebraicLocalTest:
                 "Theorem 5.3 requires an arithmetic-free CQC; use the "
                 "Theorem 5.2 engine or the ICQ machinery for comparisons"
             )
-        check_cqc_form(constraint, local_predicate)
         self.constraint = constraint
         self.local_predicate = local_predicate
-        subgoal = local_subgoal(constraint, local_predicate)
-        self.arity = subgoal.arity
-
-        # Pattern of l: map each of l's variables to its first component
-        # index; repeated variables and constants become conditions that
-        # any tuple (inserted or stored) must satisfy to have a reduction.
-        self._var_component: dict[Variable, int] = {}
-        self.pattern_conditions: list[tuple[int, object]] = []  # (col, col|value)
-        self._pattern_eq_cols: list[tuple[int, int]] = []
-        self._pattern_const_cols: list[tuple[int, object]] = []
-        for position, term in enumerate(subgoal.args):
-            if isinstance(term, Constant):
-                self._pattern_const_cols.append((position, term.value))
-            elif term in self._var_component:
-                self._pattern_eq_cols.append((self._var_component[term], position))
-            else:
-                self._var_component[term] = position
-
-        # Remote subgoals with l's variables replaced by components.
-        self._template: list[_TemplateAtom] = []
-        for atom in constraint.ordinary_subgoals:
-            if atom is subgoal:
-                continue
-            args = []
-            for term in atom.args:
-                if isinstance(term, Constant):
-                    args.append(term.value)
-                elif term in self._var_component:
-                    args.append(_Component(self._var_component[term]))
-                else:
-                    args.append(term)
-            self._template.append(_TemplateAtom(atom.predicate, tuple(args)))
-
-        # Skeletons: each template subgoal maps to a same-predicate
-        # template subgoal.  Enumerated once — data-independent.
-        choices: list[list[int]] = []
-        for source in self._template:
-            targets = [
-                j for j, candidate in enumerate(self._template)
-                if candidate.predicate == source.predicate
-                and len(candidate.args) == len(source.args)
-            ]
-            choices.append(targets)
-        self.skeletons: list[tuple[int, ...]] = [
-            combo for combo in itertools.product(*choices)
-        ]
+        # RED(tau, l, C) and its skeletons onto itself: each remote
+        # subgoal maps to a same-predicate remote subgoal.  Enumerated
+        # once — data-independent.
+        self.template = ReductionTemplate(constraint, local_predicate)
+        self.arity = self.template.arity
+        self.skeletons: list[tuple[int, ...]] = skeletons(self.template, self.template)
 
     # -- tuple-level checks ------------------------------------------------------
     def reduction_exists(self, values: tuple) -> bool:
         """Does RED(values, l, C) exist?  (Pattern conditions of l.)"""
-        if len(values) != self.arity:
-            raise NotApplicableError(
-                f"tuple arity {len(values)} does not match l/{self.arity}"
-            )
-        for a, b in self._pattern_eq_cols:
-            if values[a] != values[b]:
-                return False
-        for column, constant in self._pattern_const_cols:
-            if values[column] != constant:
-                return False
-        return True
+        return self.template.reduction_exists(values)
 
     def _skeleton_conditions(
         self, skeleton: tuple[int, ...], inserted: tuple
     ) -> Optional[list[Condition]]:
         """Selection conditions on L for one skeleton given the inserted
-        tuple, or ``None`` when the skeleton is inconsistent with it."""
+        tuple, or ``None`` when the skeleton is inconsistent with it.
+
+        Arithmetic-free containment is an exact homomorphism, so every
+        position constrains: a component meeting a value is a selection,
+        and a constant meeting a variable, a variable meeting two
+        different images, or two unequal constants kill the skeleton."""
         conditions: list[Condition] = []
         seen: set[tuple[int, object]] = set()
         var_image: dict[Variable, tuple] = {}  # remote var -> ('var', v)|('val', x)
 
         def resolve(term) -> tuple:
-            if isinstance(term, _Component):
+            if isinstance(term, Component):
                 return ("val", inserted[term.index])
             if isinstance(term, Variable):
                 return ("var", term)
             return ("val", term)
 
+        atoms = self.template.atoms
         for i, target_index in enumerate(skeleton):
-            source = self._template[i]
-            target = self._template[target_index]
+            source = atoms[i]
+            target = atoms[target_index]
             for a, b in zip(source.args, target.args):
                 image = resolve(b)
-                if isinstance(a, _Component):
+                if isinstance(a, Component):
                     # s's component must equal a concrete value of RED(t).
                     if image[0] == "var":
                         return None  # a constant cannot map onto a variable
@@ -191,17 +131,6 @@ class AlgebraicLocalTest:
                         return None
         return conditions
 
-    def _pattern_ra_conditions(self) -> list[Condition]:
-        conditions = [
-            Condition(Col(a), ComparisonOp.EQ, Col(b))
-            for a, b in self._pattern_eq_cols
-        ]
-        conditions.extend(
-            Condition(Col(column), ComparisonOp.EQ, Lit(value))
-            for column, value in self._pattern_const_cols
-        )
-        return conditions
-
     # -- the public test -------------------------------------------------------
     def expression_for(self, inserted: tuple) -> Expression:
         """The relational algebra expression over L whose nonemptiness is
@@ -215,7 +144,7 @@ class AlgebraicLocalTest:
         relation = RelationRef(self.local_predicate, self.arity)
         if not self.reduction_exists(inserted):
             return relation
-        pattern = self._pattern_ra_conditions()
+        pattern = self.template.pattern_conditions()
         branches: list[Expression] = []
         for skeleton in self.skeletons:
             conditions = self._skeleton_conditions(skeleton, inserted)

@@ -251,7 +251,7 @@ def _symbolic_branch(test, skeleton):
     values become runtime guards instead of static pruning.
     """
     from repro.datalog.terms import Variable
-    from repro.localtests.algebraic import _Component
+    from repro.localtests.reduction import Component
 
     conditions: list[tuple[int, tuple]] = []
     guards: list[tuple[tuple, tuple]] = []
@@ -259,7 +259,7 @@ def _symbolic_branch(test, skeleton):
     var_image: dict = {}  # remote var -> ("var", v) | ("sym", sym)
 
     def resolve(term):
-        if isinstance(term, _Component):
+        if isinstance(term, Component):
             return ("sym", _sym_component(term.index))
         if isinstance(term, Variable):
             return ("var", term)
@@ -275,15 +275,16 @@ def _symbolic_branch(test, skeleton):
         guards.append((first, second))
         return True
 
+    atoms = test.template.atoms
     for i, target_index in enumerate(skeleton):
-        source = test._template[i]
-        target = test._template[target_index]
+        source = atoms[i]
+        target = atoms[target_index]
         for a, b in zip(source.args, target.args):
             image = resolve(b)
-            if isinstance(a, _Component):
+            if isinstance(a, Component):
                 if image[0] == "var":
                     return None  # a concrete column cannot map to a variable
-            if isinstance(a, _Component):
+            if isinstance(a, Component):
                 key = (a.index, image[1])
                 if key not in seen:
                     seen.add(key)
@@ -321,9 +322,10 @@ def compile_local_test(test) -> CompiledLocalTest:
 
     pattern_clauses: list[str] = []
     pattern_params: list[tuple] = []
-    for a, b in test._pattern_eq_cols:
+    template = test.template
+    for a, b in template.pattern_eq_cols:
         pattern_clauses.append(f"c{a} = c{b}")
-    for column, value in test._pattern_const_cols:
+    for column, value in template.pattern_const_cols:
         pattern_clauses.append(f"c{column} = ?")
         pattern_params.append(_sym_const(value))
 
@@ -334,7 +336,7 @@ def compile_local_test(test) -> CompiledLocalTest:
         conditions, guards = branch
         clauses = list(pattern_clauses)
         params = list(pattern_params)
-        bound = {column for column, _ in test._pattern_const_cols}
+        bound = {column for column, _ in template.pattern_const_cols}
         for column, sym in conditions:
             clauses.append(f"c{column} = ?")
             params.append(sym)

@@ -50,6 +50,17 @@ class TestExplain:
         assert checker.explain(constraints["ref"], "emp") == "none"  # negation
         assert checker.explain(constraints["range"], "emp") == "union-containment"
         assert checker.explain(constraints["cap2"], "emp") == "subsumed"
+        # a disjunct joining a second local predicate leaves no local test
+        mixed = Constraint(
+            """
+            panic :- l(X) & r(X)
+            panic :- l(X) & m(X) & X > 3
+            """,
+            "mixed",
+        )
+        mixed_checker = PartialInfoChecker([mixed], local_predicates={"l", "m"})
+        assert mixed_checker.compiler.local_test_plan(mixed, "l").kind == "none"
+        assert mixed_checker.explain(mixed, "l") == "none"
 
 
 class TestTransactions:

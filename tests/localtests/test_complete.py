@@ -8,20 +8,34 @@ explicit witness remote state, which we verify directly.
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cli import load_constraints
 from repro.constraints.constraint import Constraint
+from repro.containment.cqc import is_contained_in_union_cqc
+from repro.core.compiler import ConstraintCompiler, LocalTestPlan
+from repro.datalog.atoms import PANIC, Atom, Comparison, ComparisonOp
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_rule
+from repro.datalog.rules import Rule
+from repro.datalog.terms import Constant, Variable
+from repro.errors import ReproError
+from repro.localtests import complete
 from repro.localtests.complete import (
+    ContainmentLocalTest,
     complete_local_test_insertion,
     completeness_witness,
     reductions_over_relation,
 )
+from repro.localtests.reduction import reduce_by_tuple
+from repro.storage.sqlite import SQLiteDatabase
 
 FORBIDDEN = parse_rule("panic :- l(X,Y) & r(Z) & X<=Z & Z<=Y")
 SAL_FLOOR = parse_rule("panic :- emp(E,D,S) & salFloor(D,F) & S < F")
+EXAMPLE_DATA = Path(__file__).resolve().parents[2] / "examples" / "data"
 
 
 class TestExample53:
@@ -157,3 +171,166 @@ class TestCorrectnessExhaustive:
                         f"YES was wrong: remote {readings}, insert {inserted}, "
                         f"relation {relation}"
                     )
+
+
+# -- the compiled test against the literal theorem ----------------------------
+
+VALUES = [0, 1, 1.0, True, "1", "a", "b"]
+REMOTE_ARITY = {"r": 2, "s": 1, "q": 1}
+
+
+def literal_theorem(constraint, assumed, inserted, relation):
+    """Theorem 5.2 as stated: RED(t) against the reductions of C and of
+    every assumed constraint by every tuple of L."""
+    target = reduce_by_tuple(constraint, "l", inserted)
+    if target is None:
+        return True
+    union = reductions_over_relation(constraint, "l", relation)
+    for other in assumed:
+        union += reductions_over_relation(other, "l", relation)
+    return is_contained_in_union_cqc(target, union)
+
+
+@st.composite
+def cqcs(draw, remote_predicates, l_arity):
+    """A CQC over l and *remote_predicates* with comparisons, repeated
+    variables and constants in l and in the remote atoms."""
+    constant = st.sampled_from(VALUES).map(Constant)
+    l_term = st.one_of(st.sampled_from("XYZ").map(Variable), constant)
+    atoms = [Atom("l", tuple(draw(l_term) for _ in range(l_arity)))]
+    remote_term = st.one_of(st.sampled_from("XYZAB").map(Variable), constant)
+    if remote_predicates:
+        for _ in range(draw(st.integers(0, 3))):
+            predicate = draw(st.sampled_from(remote_predicates))
+            args = tuple(draw(remote_term) for _ in range(REMOTE_ARITY[predicate]))
+            atoms.append(Atom(predicate, args))
+    bound = sorted({v for atom in atoms for v in atom.variables()}, key=str)
+    side = st.one_of(st.sampled_from(bound), constant) if bound else constant
+    comparisons = [
+        Comparison(draw(side), draw(st.sampled_from(list(ComparisonOp))), draw(side))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    return Rule(PANIC, tuple(atoms + comparisons))
+
+
+@st.composite
+def containment_cases(draw):
+    """C (self-joins of r give several skeletons), companions sharing
+    C's remote predicates, over a disjoint one, or with none, a local
+    relation, an inserted tuple (often a stored one, which must cover
+    itself), and edits between rounds."""
+    l_arity = draw(st.integers(1, 3))
+    constraint = draw(cqcs(["r", "s"], l_arity))
+    companions = [
+        draw(cqcs(draw(st.sampled_from([["r", "s"], ["q"], []])), l_arity))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    row = st.tuples(*[st.sampled_from(VALUES)] * l_arity)
+    rows = draw(st.lists(row, max_size=6))
+    return (
+        constraint,
+        companions,
+        rows,
+        draw(st.one_of(row, st.sampled_from(rows)) if rows else row),
+        draw(st.lists(st.tuples(st.booleans(), row), max_size=4)),
+    )
+
+
+class TestCompiledEqualsTheorem:
+    @settings(max_examples=150, deadline=None)
+    @given(containment_cases())
+    def test_selected_union_decides_like_the_full_union(self, case):
+        constraint, companions, rows, inserted, edits = case
+        disjuncts = [constraint, *companions]
+        others = [[o for o in disjuncts if o is not d] for d in disjuncts]
+        test = ContainmentLocalTest(constraint, "l", companions)
+        plan = LocalTestPlan(
+            "containment", "l", rule=constraint, containment_tests=(test,)
+        )
+        union_plan = LocalTestPlan(
+            "union-containment",
+            "l",
+            containment_tests=tuple(
+                ContainmentLocalTest(d, "l", rest) for d, rest in zip(disjuncts, others)
+            ),
+        )
+        live = Database({"l": rows})
+        stored = SQLiteDatabase(contents={"l": rows})
+        try:
+            for round_ in range(2):
+                for db in (live, stored):
+                    relation = sorted(db.facts("l"), key=repr)
+                    expected = literal_theorem(
+                        constraint, companions, inserted, relation
+                    )
+                    assert test.passes_in(inserted, db) == expected, (
+                        f"{constraint} with {companions}: insert {inserted} "
+                        f"into {relation} (round {round_}, {type(db).__name__})"
+                    )
+                    assert plan.run_against(inserted, db, "c") == expected
+                    assert union_plan.run_against(inserted, db, "c") == all(
+                        literal_theorem(d, rest, inserted, relation)
+                        for d, rest in zip(disjuncts, others)
+                    )
+                    if db is live:
+                        assert test.passes(inserted, relation) == expected
+                for is_insert, fact in edits:
+                    for db in (live, stored):
+                        (db.insert if is_insert else db.delete)("l", fact)
+        finally:
+            stored.close()
+
+    def test_members_without_a_mapping_are_dropped(self):
+        """A companion over a remote predicate RED(t) lacks can never map
+        into it; one with no remote atom always can."""
+        test = ContainmentLocalTest(
+            FORBIDDEN,
+            "l",
+            [
+                parse_rule("panic :- l(X,Y) & q(Z) & X<=Z"),
+                parse_rule("panic :- l(X,Y) & X > Y"),
+            ],
+        )
+        assert [m.template.constraint for m in test.members] == [
+            FORBIDDEN,
+            parse_rule("panic :- l(X,Y) & X > Y"),
+        ]
+
+
+class TestSelectionCost:
+    """The salary floor joins emp to salFloor on the department: only
+    same-department rows can cover a hire."""
+
+    def plan(self):
+        constraints = load_constraints(str(EXAMPLE_DATA / "employee_constraints.dl"))
+        compiler = ConstraintCompiler(constraints, {"emp"})
+        plan = compiler.local_test_plan(constraints["salary-floor"], "emp")
+        assert plan.kind == "containment"
+        return plan
+
+    def test_reduces_only_same_department_rows(self, monkeypatch):
+        # 1,000 rows over 50 departments, all within the salary caps; the
+        # full union reduces every row for the floor and both caps
+        emp = Database(
+            {"emp": [(f"e{i}", f"d{i % 50}", i % 100) for i in range(1000)]}
+        )
+        reduced = []
+
+        def counting(constraint, predicate, values):
+            reduced.append(values)
+            return reduce_by_tuple(constraint, predicate, values)
+
+        monkeypatch.setattr(complete, "reduce_by_tuple", counting)
+        assert self.plan().run_against(("new", "d7", 60), emp, "salary-floor")
+        stored = [values for values in reduced if emp.contains("emp", values)]
+        assert len(stored) == 20
+        assert {values[1] for values in stored} == {"d7"}
+
+    def test_relation_of_another_arity_raises_typed_error(self):
+        short = Database({"emp": [("e1", "d7")]})
+        with pytest.raises(ReproError):
+            self.plan().run_against(("new", "d7", 60), short, "salary-floor")
+        with pytest.raises(ReproError):
+            complete_local_test_insertion(
+                SAL_FLOOR, "emp", ("new", "d7", 60), [("e1", "d7")]
+            )

@@ -92,7 +92,7 @@ class TestInjectionSafety:
         """A constant inside the constraint itself binds as a parameter."""
         rule = parse_rule('panic :- l(X, "it\'s, a \\"test\\"") & r(X)')
         test = AlgebraicLocalTest(rule, "l")
-        constant = test._pattern_const_cols[0][1]
+        constant = test.template.pattern_const_cols[0][1]
         facts = [("a", constant)]
         db = SQLiteDatabase(contents={"l": facts})
         compiled = compile_local_test(test)
