@@ -218,16 +218,19 @@ def _build_remote_link(args: argparse.Namespace, remote_site, rate=None):
             # with a perfectly healthy remote.
             return RemoteLink(remote_site)
         return None
-    faults = FaultModel(
-        failure_rate=effective_rate,
-        latency=args.remote_latency,
-        outages=tuple(parse_outage(spec) for spec in args.outage or ()),
-        seed=args.fault_seed,
-    )
-    policy = FetchPolicy(
-        max_attempts=args.retries if args.retries is not None else 4,
-        attempt_timeout=args.remote_timeout,
-    )
+    try:
+        faults = FaultModel(
+            failure_rate=effective_rate,
+            latency=args.remote_latency,
+            outages=tuple(parse_outage(spec) for spec in args.outage or ()),
+            seed=args.fault_seed,
+        )
+        policy = FetchPolicy(
+            max_attempts=args.retries if args.retries is not None else 4,
+            attempt_timeout=args.remote_timeout,
+        )
+    except ValueError as exc:
+        raise ReproError(str(exc)) from exc
     return RemoteLink(
         UnreliableRemote(remote_site, faults), policy, seed=args.fault_seed
     )
@@ -281,17 +284,7 @@ def _build_sites(args: argparse.Namespace, db: Database, local_predicates: set[s
     total = args.sites if getattr(args, "sites", None) else 2
     if total < 2:
         raise ReproError("--sites needs at least 2 (one local, one remote)")
-    backend_name = getattr(args, "backend", None) or "memory"
-    if backend_name == "memory":
-        local = Site("local", db.restricted_to(local_predicates))
-    else:
-        from repro.storage import make_backend
-
-        local = Site(
-            "local",
-            db.restricted_to(local_predicates),
-            backend=make_backend(backend_name),
-        )
+    local = Site("local", db.restricted_to(local_predicates))
     remote_predicates = sorted(db.predicates() - local_predicates)
     if total == 2:
         return TwoSiteDatabase(
@@ -395,7 +388,6 @@ def _journal_config(args: argparse.Namespace, constraints, local_predicates):
     return {
         "constraints": [[c.name, str(c.program)] for c in constraints],
         "local": sorted(local_predicates),
-        "backend": getattr(args, "backend", None) or "memory",
         "sites": args.sites,
         "shards": args.shards or 0,
         "shard_by": sorted(args.shard_by or ()),
@@ -648,7 +640,7 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
         journal_config = _journal_config(args, constraints, local_predicates)
         if args.resume:
             from repro.durability.journal import JOURNAL_FILE
-            from repro.durability.recovery import check_backend_compatible, recover
+            from repro.durability.recovery import recover
 
             if not os.path.exists(os.path.join(args.journal, JOURNAL_FILE)):
                 raise ReproError(
@@ -656,9 +648,6 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
                     "did you mean a fresh --journal run?"
                 )
             recovered = recover(args.journal)
-            check_backend_compatible(
-                recovered.meta, getattr(args, "backend", None) or "memory"
-            )
             if recovered.meta is not None and recovered.meta != journal_config:
                 raise ReproError(
                     "--resume configuration differs from the journal's "
@@ -682,13 +671,6 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
                     "fresh directory"
                 )
 
-    if (getattr(args, "backend", None) or "memory") != "memory" and args.shards:
-        raise ReproError(
-            "--backend sqlite cannot be combined with --shards: shard "
-            "sessions re-partition the local site into per-shard in-memory "
-            "databases, and a sqlite connection cannot cross the worker "
-            "boundary"
-        )
     sites = _build_sites(args, db, local_predicates)
     site_rates = _parse_site_fault_rates(args)
     unknown_rates = set(site_rates) - {"*"} - set(sites.site_names)
@@ -745,30 +727,33 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
                 "--transaction cannot be combined with --shards: the "
                 "atomic rollback spans one session, not a shard fleet"
             )
-        partitioner = _build_partitioner(args, local_predicates)
-        if recovered is not None:
-            # The checker partitions the local database at construction
-            # time, so the recovered cut vectors go in first.
-            for predicate, cuts in recovered.cuts.items():
-                partitioner.set_boundaries(predicate, cuts)
-        checker = ShardedChecker(
-            constraints, sites,
-            shards=args.shards,
-            partitioner=partitioner,
-            apply_on_unknown=not args.pessimistic,
-            remote_link=remote_link,
-            remote_links=remote_links,
-            snapshot_ttl=args.snapshot_ttl,
-            parallelism=args.parallel or 1,
-            overlap_remote=args.overlap_remote,
-            executor=args.executor,
-            rebalance=(
-                RebalancePolicy(interval=args.rebalance)
-                if args.rebalance is not None
-                else None
-            ),
-            chaos=injector,
-        )
+        try:
+            partitioner = _build_partitioner(args, local_predicates)
+            if recovered is not None:
+                # The checker partitions the local database at construction
+                # time, so the recovered cut vectors go in first.
+                for predicate, cuts in recovered.cuts.items():
+                    partitioner.set_boundaries(predicate, cuts)
+            checker = ShardedChecker(
+                constraints, sites,
+                shards=args.shards,
+                partitioner=partitioner,
+                apply_on_unknown=not args.pessimistic,
+                remote_link=remote_link,
+                remote_links=remote_links,
+                snapshot_ttl=args.snapshot_ttl,
+                parallelism=args.parallel or 1,
+                overlap_remote=args.overlap_remote,
+                executor=args.executor,
+                rebalance=(
+                    RebalancePolicy(interval=args.rebalance)
+                    if args.rebalance is not None
+                    else None
+                ),
+                chaos=injector,
+            )
+        except ValueError as exc:
+            raise ReproError(str(exc)) from exc
     else:
         checker = DistributedChecker(
             constraints, sites,
@@ -1039,12 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--local", nargs="*", help="predicates stored locally (default: all)"
-    )
-    stream.add_argument(
-        "--backend", choices=("memory", "sqlite"), default="memory",
-        help="storage backend for the local site: in-memory relations "
-        "(default) or indexed SQLite tables with Theorem 5.3 local "
-        "tests pushed down as compiled SQL (verdicts identical)",
     )
     stream.add_argument(
         "-v", "--verbose", action="store_true",

@@ -38,6 +38,7 @@ from repro.errors import (
 from repro.constraints.classify import SitePlacement, minimal_site_needs
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.constraints.subsumption import subsumes
+from repro.datalog.database import Database
 from repro.datalog.rules import Rule
 from repro.localtests.algebraic import AlgebraicLocalTest
 from repro.localtests.complete import ContainmentLocalTest
@@ -182,8 +183,8 @@ class LocalTestPlan:
 
     ``kind`` is one of ``"none"``, ``"algebraic"``, ``"interval"``,
     ``"interval-datalog"``, ``"box"``, ``"containment"``, or
-    ``"union-containment"``; :meth:`run` executes the corresponding test
-    against concrete inserted values and the stored local relation.
+    ``"union-containment"``; :meth:`run_against` executes the corresponding
+    test against concrete inserted values and the stored local relation.
     """
 
     kind: str
@@ -196,44 +197,26 @@ class LocalTestPlan:
     #: ``"containment"``, one per disjunct for ``"union-containment"``
     containment_tests: Sequence[ContainmentLocalTest] = ()
 
-    def run(self, values: tuple, relation) -> Optional[bool]:
-        """Execute the plan; ``None`` when no local test applies."""
+    def run_against(self, values: tuple, local_db: Database) -> Optional[bool]:
+        """Execute the plan for inserted *values* against *local_db*;
+        ``None`` when no local test applies.  Algebraic and containment
+        tests select from the live relation by index probes; the interval
+        and box tests read its facts."""
         if self.kind == "none":
             return None
         if self.kind == "algebraic":
-            return self.algebraic_test.passes(values, relation)
-        if self.kind == "interval":
-            return interval_local_test(self.analysis, values, relation)
-        if self.kind == "interval-datalog":
-            return self.interval_test.passes(values, relation)
-        if self.kind == "box":
-            return box_local_test(self.analysis, values, relation)
-        assert self.kind in ("containment", "union-containment")
-        return all(test.passes(values, relation) for test in self.containment_tests)
-
-    def run_against(
-        self, values: tuple, local_db, constraint_name: str
-    ) -> Optional[bool]:
-        """Execute the plan against a database.  Algebraic and containment
-        tests select from *local_db*'s live relation by index probes; an
-        algebraic test is pushed down to the storage backend instead when
-        it runs compiled Theorem 5.3 tests itself (``run_local_test``,
-        e.g. the SQLite backend's indexed ``SELECT EXISTS``).  Verdicts are
-        identical to :meth:`run`; only where the test executes changes."""
-        if self.kind == "algebraic":
-            runner = getattr(local_db, "run_local_test", None)
-            if runner is not None:
-                return runner(
-                    self.algebraic_test,
-                    tuple(values),
-                    (constraint_name, self.predicate),
-                )
             return self.algebraic_test.passes_in(values, local_db)
         if self.kind in ("containment", "union-containment"):
             return all(
                 test.passes_in(values, local_db) for test in self.containment_tests
             )
-        return self.run(values, local_db.facts(self.predicate))
+        relation = local_db.facts(self.predicate)
+        if self.kind == "interval":
+            return interval_local_test(self.analysis, values, relation)
+        if self.kind == "interval-datalog":
+            return self.interval_test.passes(values, relation)
+        assert self.kind == "box"
+        return box_local_test(self.analysis, values, relation)
 
 
 @dataclass

@@ -146,9 +146,7 @@ class PartialInfoChecker:
                 probe = update.insertion
             if probe is not None:
                 plan = compiler.local_test_plan(constraint, update.predicate)
-                result = plan.run_against(
-                    probe.values, local_db, constraint.name
-                )
+                result = plan.run_against(probe.values, local_db)
                 if result is True:
                     return CheckReport(
                         constraint.name, Outcome.SATISFIED, CheckLevel.WITH_LOCAL_DATA,

@@ -481,7 +481,7 @@ class CheckSession:
                     probe = update.insertion
                 if probe is not None:
                     plan = self.compiler.local_test_plan(constraint, predicate)
-                    result = self._run_local_plan(plan, probe.values, name)
+                    result = plan.run_against(probe.values, self.local_db)
                     if result is True:
                         reports[name] = CheckReport(
                             name, Outcome.SATISFIED, CheckLevel.WITH_LOCAL_DATA,
@@ -491,13 +491,6 @@ class CheckSession:
             pending_unknown.append((constraint, CheckLevel.WITH_LOCAL_DATA))
 
         return reports, pending_local, pending_unknown
-
-    def _run_local_plan(self, plan, values: tuple, constraint_name: str):
-        """Run one precompiled local test against this session's
-        database, pushing it down to the storage backend when the backend
-        executes compiled Theorem 5.3 tests itself (the SQLite backend's
-        indexed ``SELECT EXISTS``)."""
-        return plan.run_against(values, self.local_db, constraint_name)
 
     def _finish(
         self,

@@ -475,8 +475,6 @@ def merged_view(base, sources: Iterable, private: Iterable[str] = ()) -> Databas
     shared, so the next write to *base* copies nothing: read those only.
     (:meth:`Database.copy` would mark every relation of *base* shared,
     and its next write would copy the whole relation and its indexes.)
-    *base* needs only the read surface of :class:`Database`, so the
-    SQLite backend's database works too.
     """
     incoming: dict[str, list[frozenset]] = {}
     for source in sources:

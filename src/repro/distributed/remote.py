@@ -130,6 +130,8 @@ class FetchPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        if self.attempt_timeout is not None and self.attempt_timeout < 0:
+            raise ValueError("attempt_timeout must be non-negative")
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be at least 1")
         if self.cooldown_fetches < 0:

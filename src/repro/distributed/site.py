@@ -60,14 +60,9 @@ class Site:
         name: str,
         contents: Mapping[str, Iterable[tuple]] | Database | None = None,
         cost_per_read: float = 0.0,
-        backend=None,
     ) -> None:
         self.name = name
-        if backend is not None:
-            # A pluggable storage backend (repro.storage) owns the site's
-            # database; the duck surface matches Database.
-            self._db = backend.create_database(contents)
-        elif isinstance(contents, Database):
+        if isinstance(contents, Database):
             self._db = contents.copy()
         else:
             self._db = Database(contents)

@@ -36,14 +36,13 @@ from repro.datalog.database import Database
 from repro.distributed.stats import ProtocolStats
 from repro.durability.checkpoint import latest_checkpoint
 from repro.durability.journal import read_journal, report_from_json
-from repro.errors import ReproError, StorageBackendMismatch
+from repro.errors import ReproError
 
 __all__ = [
     "RecoveredState",
     "recover",
     "write_meta",
     "load_meta",
-    "check_backend_compatible",
 ]
 
 META_FILE = "meta.json"
@@ -63,21 +62,6 @@ def write_meta(directory: str, config: dict) -> None:
         fh.write("\n")
         fh.flush()
         os.fsync(fh.fileno())
-
-
-def check_backend_compatible(meta: Optional[dict], backend: str) -> None:
-    """Refuse a ``--resume`` under a different storage backend.
-
-    Raised *before* the generic whole-fingerprint comparison so the
-    operator gets a typed, actionable error naming both backends.
-    Journals written before the backend key existed are treated as
-    ``memory`` (the only backend that existed then).
-    """
-    if meta is None:
-        return
-    recorded = meta.get("backend", "memory")
-    if recorded != backend:
-        raise StorageBackendMismatch(recorded, backend)
 
 
 def load_meta(directory: str) -> Optional[dict]:

@@ -137,28 +137,3 @@ class RemoteUnavailableError(ReproError):
         super().__init__(message)
         self.reason = reason
         self.sites = frozenset(sites) if sites is not None else frozenset()
-
-
-class StorageError(ReproError):
-    """Raised when a storage backend cannot represent or execute a
-    request — e.g. a value outside the SQLite-storable domain."""
-
-
-class StorageBackendMismatch(StorageError):
-    """Raised when ``--resume`` requests a different storage backend than
-    the one that wrote the journal.
-
-    A journal only replays under the backend that wrote it: effective
-    deltas and checkpoints were computed against that backend's state,
-    and replaying them into a different engine would silently diverge.
-    """
-
-    def __init__(self, recorded: str, requested: str) -> None:
-        super().__init__(
-            f"--resume backend mismatch: the journal was written by the "
-            f"{recorded!r} backend but this run requests {requested!r}; "
-            f"a journal only replays under the backend that wrote it "
-            f"(rerun with --backend {recorded})"
-        )
-        self.recorded = recorded
-        self.requested = requested

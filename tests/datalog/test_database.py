@@ -119,13 +119,3 @@ class TestMergedView:
         assert view.facts("emp") == {(2,)}
         assert base.facts("emp") == {(1,)}
         assert view.relation("dept") is base.relation("dept")
-
-    def test_sqlite_base(self):
-        from repro.storage.sqlite import SQLiteDatabase
-
-        base = SQLiteDatabase(contents={"emp": [(1, "a")], "dept": [("a",)]})
-        view = merged_view(base, (Database({"emp": [(2, "b")]}),))
-        assert view.facts("emp") == {(1, "a"), (2, "b")}
-        assert view.facts("dept") == {("a",)}
-        assert view.contains("dept", ("a",))
-        assert base.facts("emp") == {(1, "a")}

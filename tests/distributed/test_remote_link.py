@@ -49,6 +49,7 @@ class TestFetchPolicy:
             {"cooldown_fetches": -1},
             {"backoff_jitter": 1.5},
             {"backoff_base": -0.1},
+            {"attempt_timeout": -1.0},
         ],
     )
     def test_validation(self, kwargs):

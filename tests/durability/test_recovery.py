@@ -447,6 +447,16 @@ def test_resume_refuses_a_different_configuration(tmp_path):
         base + ["--journal", journal, "--resume", "--pessimistic"]
     )
     assert code == 3  # meta.json fingerprint mismatch
+    # A journal from a build that recorded a storage backend carries a
+    # fingerprint this build never writes, so it does not resume either.
+    meta = load_meta(journal)
+    meta["backend"] = "sqlite"
+    write_meta(journal, meta)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(base + ["--journal", journal, "--resume"])
+    assert code == 3
+    assert "--resume configuration differs" in err.getvalue()
 
 def test_fresh_journal_refuses_a_populated_directory(tmp_path):
     base = write_workload_files(str(tmp_path), 6, seed=0)

@@ -165,7 +165,7 @@ class TestLiveDatabasePath:
         live = Database({"l": rows, "other": [(1, 2)]})
         for round_ in range(2):
             relation = sorted(live.facts("l"), key=repr)
-            verdict = plan.run_against(inserted, live, "c")
+            verdict = plan.run_against(inserted, live)
             assert verdict == test.passes_in(inserted, live)
             assert verdict == test.passes(inserted, relation)
             assert verdict == complete_local_test_insertion(
@@ -177,19 +177,14 @@ class TestLiveDatabasePath:
 
     def test_every_skeleton_inconsistent_is_false(self):
         """An empty union of branches is the empty relation: the test
-        fails on both the live path and the SQL pushdown."""
-        from repro.storage.sqlite import SQLiteDatabase
-
+        fails on the live path and over a tuple list."""
         test = AlgebraicLocalTest(parse_rule("panic :- l(X) & r(X)"), "l")
         test.skeletons = []
         assert test.expression_for((1,)) == Union(())
         live = Database({"l": [(1,), (2,)]})
         assert not test.passes_in((1,), live)
         assert not test.passes((1,), [(1,), (2,)])
-        assert not algebraic_plan(test).run_against((1,), live, "c")
-        assert not algebraic_plan(test).run_against(
-            (1,), SQLiteDatabase(contents={"l": [(1,), (2,)]}), "c"
-        )
+        assert not algebraic_plan(test).run_against((1,), live)
 
 
 class TestSessionDoesNotCopyLocalRelation:

@@ -31,7 +31,6 @@ from repro.localtests.complete import (
     reductions_over_relation,
 )
 from repro.localtests.reduction import reduce_by_tuple
-from repro.storage.sqlite import SQLiteDatabase
 
 FORBIDDEN = parse_rule("panic :- l(X,Y) & r(Z) & X<=Z & Z<=Y")
 SAL_FLOOR = parse_rule("panic :- emp(E,D,S) & salFloor(D,F) & S < F")
@@ -255,30 +254,22 @@ class TestCompiledEqualsTheorem:
             ),
         )
         live = Database({"l": rows})
-        stored = SQLiteDatabase(contents={"l": rows})
-        try:
-            for round_ in range(2):
-                for db in (live, stored):
-                    relation = sorted(db.facts("l"), key=repr)
-                    expected = literal_theorem(
-                        constraint, companions, inserted, relation
-                    )
-                    assert test.passes_in(inserted, db) == expected, (
-                        f"{constraint} with {companions}: insert {inserted} "
-                        f"into {relation} (round {round_}, {type(db).__name__})"
-                    )
-                    assert plan.run_against(inserted, db, "c") == expected
-                    assert union_plan.run_against(inserted, db, "c") == all(
-                        literal_theorem(d, rest, inserted, relation)
-                        for d, rest in zip(disjuncts, others)
-                    )
-                    if db is live:
-                        assert test.passes(inserted, relation) == expected
-                for is_insert, fact in edits:
-                    for db in (live, stored):
-                        (db.insert if is_insert else db.delete)("l", fact)
-        finally:
-            stored.close()
+        for round_ in range(2):
+            relation = sorted(live.facts("l"), key=repr)
+            expected = literal_theorem(constraint, companions, inserted, relation)
+            assert test.passes_in(inserted, live) == expected, (
+                f"{constraint} with {companions}: insert {inserted} "
+                f"into {relation} (round {round_})"
+            )
+            assert plan.run_against(inserted, live) == expected
+            assert union_plan.run_against(inserted, live) == all(
+                literal_theorem(d, rest, inserted, relation)
+                for d, rest in zip(disjuncts, others)
+            )
+            assert test.passes(inserted, relation) == expected
+            # edit the live relation: its indexes must follow
+            for is_insert, fact in edits:
+                (live.insert if is_insert else live.delete)("l", fact)
 
     def test_members_without_a_mapping_are_dropped(self):
         """A companion over a remote predicate RED(t) lacks can never map
@@ -321,7 +312,7 @@ class TestSelectionCost:
             return reduce_by_tuple(constraint, predicate, values)
 
         monkeypatch.setattr(complete, "reduce_by_tuple", counting)
-        assert self.plan().run_against(("new", "d7", 60), emp, "salary-floor")
+        assert self.plan().run_against(("new", "d7", 60), emp)
         stored = [values for values in reduced if emp.contains("emp", values)]
         assert len(stored) == 20
         assert {values[1] for values in stored} == {"d7"}
@@ -329,7 +320,7 @@ class TestSelectionCost:
     def test_relation_of_another_arity_raises_typed_error(self):
         short = Database({"emp": [("e1", "d7")]})
         with pytest.raises(ReproError):
-            self.plan().run_against(("new", "d7", 60), short, "salary-floor")
+            self.plan().run_against(("new", "d7", 60), short)
         with pytest.raises(ReproError):
             complete_local_test_insertion(
                 SAL_FLOOR, "emp", ("new", "d7", 60), [("e1", "d7")]

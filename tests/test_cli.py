@@ -404,7 +404,8 @@ class TestSiteFaultRateParsing:
 
 class TestExecutorAndRebalanceFlags:
     """``--executor process`` and ``--rebalance`` wiring: flag validation
-    surfaces as exit 3, and both modes run a sharded stream end to end."""
+    (out-of-range numeric flags included) surfaces as exit 3, and both
+    modes run a sharded stream end to end."""
 
     def sharded_stream(self, tmp_path, keys):
         constraints = tmp_path / "uniq.dl"
@@ -485,6 +486,13 @@ class TestExecutorAndRebalanceFlags:
                 ["--shards", "2", "--shard-by", "hot=50", "--rebalance", "0"],
                 ">= 1",
             ),
+            (["--shards", "-2"], "shards must be >= 1"),
+            (["--shards", "2", "--parallel", "-2"], "parallelism must be >= 1"),
+            (["--retries", "0"], "max_attempts must be at least 1"),
+            (["--fault-rate", "2"], "failure_rate must be in [0, 1]"),
+            (["--remote-latency", "-1"], "latency and latency_jitter must be"),
+            (["--remote-timeout", "-1"], "attempt_timeout must be non-negative"),
+            (["--outage", "abc"], "outage window must look like START:LENGTH"),
         ],
     )
     def test_invalid_combinations_exit_3(self, tmp_path, capsys, extra, message):
@@ -494,7 +502,9 @@ class TestExecutorAndRebalanceFlags:
              "--local", "hot", *extra]
         )
         assert code == 3
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 class TestDurabilityFlags:
@@ -645,111 +655,6 @@ class TestDurabilityFlags:
         out = capsys.readouterr().out
         row = [line for line in out.splitlines() if "fault seed" in line]
         assert row and "42" in row[0]
-
-
-class TestStorageBackendFlag:
-    """``--backend sqlite``: verdict parity, journal/resume, and the
-    typed refusal of a cross-backend resume."""
-
-    def stream(self, tmp_path, constraint_file, db_file, *extra):
-        updates = tmp_path / "updates.txt"
-        updates.write_text(
-            "+emp(bob, toys, 60)\n"
-            "~emp(ann, toys, 50)->(ann, toys, 55)\n"
-            "+emp(cal, toys, 500)\n"
-        )
-        return [
-            "check-stream", constraint_file,
-            "--db", db_file, "--updates", str(updates),
-            "--local", "emp",
-            *extra,
-        ]
-
-    def test_sqlite_backend_matches_memory_verdicts(
-        self, tmp_path, constraint_file, db_file, capsys
-    ):
-        code_mem = main(
-            self.stream(tmp_path, constraint_file, db_file, "--verbose")
-        )
-        out_mem = capsys.readouterr().out
-        code_sql = main(
-            self.stream(
-                tmp_path, constraint_file, db_file,
-                "--verbose", "--backend", "sqlite",
-            )
-        )
-        out_sql = capsys.readouterr().out
-        assert code_mem == code_sql == 1
-        assert out_mem == out_sql
-
-    def test_sqlite_journal_and_resume(
-        self, tmp_path, constraint_file, db_file, capsys
-    ):
-        journal = str(tmp_path / "journal")
-        code = main(
-            self.stream(
-                tmp_path, constraint_file, db_file,
-                "--backend", "sqlite", "--journal", journal,
-            )
-        )
-        assert code == 1
-        capsys.readouterr()
-        code = main(
-            self.stream(
-                tmp_path, constraint_file, db_file,
-                "--backend", "sqlite", "--journal", journal, "--resume",
-            )
-        )
-        assert code == 1  # same stream, same verdicts
-
-    def test_resume_under_different_backend_is_refused(
-        self, tmp_path, constraint_file, db_file, capsys
-    ):
-        journal = str(tmp_path / "journal")
-        assert (
-            main(
-                self.stream(
-                    tmp_path, constraint_file, db_file,
-                    "--backend", "sqlite", "--journal", journal,
-                )
-            )
-            == 1
-        )
-        capsys.readouterr()
-        code = main(
-            self.stream(
-                tmp_path, constraint_file, db_file,
-                "--journal", journal, "--resume",
-            )
-        )
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "'sqlite'" in err and "'memory'" in err
-        assert "backend mismatch" in err
-
-    def test_refusal_is_typed(self, tmp_path, constraint_file, db_file):
-        from repro.durability.recovery import check_backend_compatible
-        from repro.errors import StorageBackendMismatch
-
-        with pytest.raises(StorageBackendMismatch) as excinfo:
-            check_backend_compatible({"backend": "sqlite"}, "memory")
-        assert excinfo.value.recorded == "sqlite"
-        assert excinfo.value.requested == "memory"
-        # journals that predate the backend key are memory journals
-        check_backend_compatible({}, "memory")
-        check_backend_compatible(None, "sqlite")
-
-    def test_sqlite_with_shards_is_refused(
-        self, tmp_path, constraint_file, db_file, capsys
-    ):
-        code = main(
-            self.stream(
-                tmp_path, constraint_file, db_file,
-                "--backend", "sqlite", "--shards", "2",
-            )
-        )
-        assert code == 3
-        assert "--backend sqlite" in capsys.readouterr().err
 
 
 class TestLargeFederatedStream:
