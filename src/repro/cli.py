@@ -97,12 +97,42 @@ def load_constraints(path: str) -> ConstraintSet:
 
 
 def load_database(path: str) -> Database:
-    """Load a JSON database: {"pred": [[v, ...], ...], ...}."""
+    """Load a JSON database: {"pred": [[v, ...], ...], ...}.
+
+    Every value must lie in the ordered domain: a string, a number other
+    than NaN (which compares unequal to itself), or a boolean.
+    """
     with open(path) as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except ValueError as exc:
+            raise ReproError(f"{path}: not a JSON database: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ReproError(
+            f"{path}: a database is a JSON object mapping each predicate "
+            f"to a list of facts"
+        )
     db = Database()
     for predicate, facts in raw.items():
+        if not isinstance(facts, list):
+            raise ReproError(f"{path}: {predicate}: the facts must be a list")
         for fact in facts:
+            if not isinstance(fact, list):
+                raise ReproError(
+                    f"{path}: {predicate} fact {json.dumps(fact)} is not a list "
+                    f"of values"
+                )
+            for value in fact:
+                kind = type(value)
+                if not (
+                    kind is str or kind is int or kind is bool
+                    or (kind is float and value == value)
+                ):
+                    raise ReproError(
+                        f"{path}: {predicate} fact {json.dumps(fact)}: "
+                        f"{json.dumps(value)} is not a string, a number other "
+                        f"than NaN, or a boolean"
+                    )
             db.insert(predicate, tuple(fact))
     return db
 

@@ -42,7 +42,7 @@ from repro.datalog.database import Database
 from repro.datalog.rules import Rule
 from repro.localtests.algebraic import AlgebraicLocalTest
 from repro.localtests.complete import ContainmentLocalTest
-from repro.localtests.icq import analyze_icq, box_local_test, interval_local_test
+from repro.localtests.icq import BoxLocalTest, IntervalLocalTest, analyze_icq
 from repro.localtests.interval_datalog import IntervalDatalogTest
 from repro.localtests.reduction import check_cqc_form
 from repro.updates.independence import cannot_cause_violation
@@ -192,16 +192,19 @@ class LocalTestPlan:
     rule: Optional[Rule] = None
     algebraic_test: Optional[AlgebraicLocalTest] = None
     analysis: object = None
-    interval_test: Optional[IntervalDatalogTest] = None
+    #: the Section 6 test over the ICQ analysis: the maintained interval
+    #: union (``"interval"``), the generated Fig. 6.1 program
+    #: (``"interval-datalog"``) or the box sweep (``"box"``)
+    interval_test: IntervalLocalTest | IntervalDatalogTest | BoxLocalTest | None = None
     #: the Theorem 5.2 tests, all of which must pass: one for
     #: ``"containment"``, one per disjunct for ``"union-containment"``
     containment_tests: Sequence[ContainmentLocalTest] = ()
 
     def run_against(self, values: tuple, local_db: Database) -> Optional[bool]:
         """Execute the plan for inserted *values* against *local_db*;
-        ``None`` when no local test applies.  Algebraic and containment
-        tests select from the live relation by index probes; the interval
-        and box tests read its facts."""
+        ``None`` when no local test applies.  Every test reads the live
+        relation itself: the algebraic and containment tests by index
+        probes, the interval test from its maintained union."""
         if self.kind == "none":
             return None
         if self.kind == "algebraic":
@@ -210,13 +213,7 @@ class LocalTestPlan:
             return all(
                 test.passes_in(values, local_db) for test in self.containment_tests
             )
-        relation = local_db.facts(self.predicate)
-        if self.kind == "interval":
-            return interval_local_test(self.analysis, values, relation)
-        if self.kind == "interval-datalog":
-            return self.interval_test.passes(values, relation)
-        assert self.kind == "box"
-        return box_local_test(self.analysis, values, relation)
+        return self.interval_test.passes_in(values, local_db)
 
 
 @dataclass
@@ -472,13 +469,23 @@ class ConstraintCompiler:
                         interval_test=IntervalDatalogTest(analysis),
                     )
                 return LocalTestPlan(
-                    "interval", predicate, rule=rule, analysis=analysis
+                    "interval",
+                    predicate,
+                    rule=rule,
+                    analysis=analysis,
+                    interval_test=IntervalLocalTest(analysis),
                 )
             if remote_args_ok:
                 # Several independently constrained remote variables:
                 # coverage of a box by a union of boxes (Section 6's
                 # generalization beyond the single-interval case).
-                return LocalTestPlan("box", predicate, rule=rule, analysis=analysis)
+                return LocalTestPlan(
+                    "box",
+                    predicate,
+                    rule=rule,
+                    analysis=analysis,
+                    interval_test=BoxLocalTest(analysis),
+                )
 
         # General CQC: Theorem 5.2, with the companion constraints'
         # reductions statically selected.

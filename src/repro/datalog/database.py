@@ -5,7 +5,7 @@ not AST :class:`~repro.datalog.terms.Constant` wrappers — the engine wraps
 and unwraps at the boundary.  Relations are sets, matching the paper's
 set semantics.
 
-Two mechanisms support the incremental check sessions:
+Three mechanisms support the incremental check sessions:
 
 * **Copy-on-write snapshots.** :meth:`Relation.copy` (and therefore
   :meth:`Database.copy` / :meth:`Database.restricted_to` /
@@ -13,6 +13,11 @@ Two mechanisms support the incremental check sessions:
   indexes with the original until either side mutates, so taking a
   snapshot per checked update is O(#relations), not O(#tuples), and a
   copy never pays re-indexing for indexes the original already built.
+* **Maintained structures.** :meth:`Relation.maintained` attaches a
+  structure derived from the tuples (the Fig. 6.1 interval union of
+  :class:`~repro.localtests.icq.IntervalLocalTest`) that every later
+  insert and delete keeps current, so a test reads it instead of the
+  tuples (DESIGN.md §17).
 * **Deltas.** A :class:`Delta` names the tuples inserted into and
   deleted from each predicate.  :meth:`Database.apply` applies one and
   returns an :class:`UndoToken` recording the *effective* changes (facts
@@ -59,11 +64,11 @@ class Relation:
     are what makes the local tests "use the structure of the database"
     (Section 1's point about expressibility in the query language).
 
-    Copies share tuples and indexes copy-on-write: the first mutation on
-    either side makes that side's structures private.  :meth:`lookup`
-    results are memoized as frozensets per ``(column, value)`` and the
-    affected entries are dropped on mutation, so repeated probes during a
-    join do not re-allocate.
+    Copies share tuples, indexes and maintained structures copy-on-write:
+    the first mutation on either side makes that side's structures
+    private.  :meth:`lookup` results are memoized as frozensets per
+    ``(column, value)`` and the affected entries are dropped on mutation,
+    so repeated probes during a join do not re-allocate.
     """
 
     __slots__ = (
@@ -74,6 +79,7 @@ class Relation:
         "_lookup_cache",
         "_facts_cache",
         "_shared",
+        "_maintained",
     )
 
     def __init__(self, name: str, arity: int, tuples: Iterable[Fact] = ()) -> None:
@@ -84,6 +90,7 @@ class Relation:
         self._lookup_cache: dict[tuple[int, object], frozenset] = {}
         self._facts_cache: frozenset | None = None
         self._shared = False
+        self._maintained: dict | None = None
         for fact in tuples:
             self.insert(fact)
 
@@ -96,7 +103,26 @@ class Relation:
             for column, index in self._indexes.items()
         }
         self._lookup_cache = dict(self._lookup_cache)
+        if self._maintained is not None:
+            self._maintained = {
+                key: structure.copy() for key, structure in self._maintained.items()
+            }
         self._shared = False
+
+    def _maintain(self, fact: Fact, inserting: bool) -> None:
+        """Pass *fact*'s insert or delete to every maintained structure,
+        before the tuples change.  A structure raises before it changes
+        itself; if one raises, the others may already have changed, so
+        all are dropped and rebuilt from the tuples on next use."""
+        try:
+            for structure in self._maintained.values():
+                if inserting:
+                    structure.insert(fact)
+                else:
+                    structure.delete(fact)
+        except Exception:
+            self._maintained = None
+            raise
 
     # -- mutation ------------------------------------------------------------
     def insert(self, fact: Fact) -> bool:
@@ -110,6 +136,8 @@ class Relation:
             return False
         if self._shared:
             self._unshare()
+        if self._maintained is not None:
+            self._maintain(fact, inserting=True)
         self._facts_cache = None
         self._tuples.add(fact)
         for column, index in self._indexes.items():
@@ -126,6 +154,8 @@ class Relation:
             return False
         if self._shared:
             self._unshare()
+        if self._maintained is not None:
+            self._maintain(fact, inserting=False)
         self._facts_cache = None
         self._tuples.discard(fact)
         for column, index in self._indexes.items():
@@ -182,8 +212,28 @@ class Relation:
             cached = self._facts_cache = frozenset(self._tuples)
         return cached
 
+    def maintained(self, key: object, build):
+        """The structure registered under *key*, built by ``build(self)``
+        on first use.
+
+        A structure is any object with ``insert(fact)``, ``delete(fact)``
+        and ``copy()``; ``insert`` and ``delete`` raise, if at all, before
+        changing it.  Every later :meth:`insert` and :meth:`delete` of a
+        new or stored tuple calls it before the tuples change, so it
+        stays a function of the tuples; a copy shares it until either
+        side mutates.
+        """
+        structures = self._maintained
+        if structures is None:
+            structures = self._maintained = {}
+        structure = structures.get(key)
+        if structure is None:
+            structure = structures[key] = build(self)
+        return structure
+
     def copy(self) -> "Relation":
-        """A copy-on-write snapshot sharing tuples and built indexes."""
+        """A copy-on-write snapshot sharing tuples, built indexes and
+        maintained structures."""
         clone = Relation.__new__(Relation)
         clone.name = self.name
         clone.arity = self.arity
@@ -191,6 +241,7 @@ class Relation:
         clone._indexes = self._indexes
         clone._lookup_cache = self._lookup_cache
         clone._facts_cache = self._facts_cache
+        clone._maintained = self._maintained
         clone._shared = True
         self._shared = True
         return clone

@@ -19,10 +19,13 @@ On top of the analysis, two fast complete local tests:
 * :func:`interval_local_test` — the single-constrained-variable case of
   Example 6.1, via the :class:`~repro.arith.intervals.IntervalSet`
   algebra (the Fig. 6.1 datalog program computes the same thing — see
-  :mod:`repro.localtests.interval_datalog` — and the tests cross-check);
+  :mod:`repro.localtests.interval_datalog` — and the tests cross-check).
+  :class:`IntervalLocalTest` answers it against a live relation from
+  the union of forbidden intervals the relation maintains;
 * :func:`box_local_test` — the multi-variable generalization when the
   remote subgoal carries independent variables: coverage of a box by a
-  union of boxes, decided exactly by recursive sweep decomposition.
+  union of boxes, decided exactly by recursive sweep decomposition
+  (:class:`BoxLocalTest` runs it against a live relation).
 
 ICQs outside these shapes still have the Theorem 5.2 test available.
 """
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.errors import NotApplicableError
+from repro.errors import EvaluationError, NotApplicableError
 from repro.arith.intervals import Interval, IntervalSet
 from repro.arith.order import NEG_INF, POS_INF, compare_values, comparison_holds
 from repro.datalog.atoms import Atom, Comparison, ComparisonOp
@@ -50,8 +53,10 @@ __all__ = [
     "forbidden_interval",
     "forbidden_intervals",
     "interval_local_test",
+    "IntervalLocalTest",
     "boxes_cover",
     "box_local_test",
+    "BoxLocalTest",
 ]
 
 
@@ -359,6 +364,119 @@ def interval_local_test(
     return True
 
 
+def _arity_error(analysis: ICQAnalysis, arity: int) -> EvaluationError:
+    return EvaluationError(
+        f"relation {analysis.local_predicate!r} has arity {arity}, "
+        f"the local test expects {len(analysis.local_atom.args)}"
+    )
+
+
+class IntervalLocalTest:
+    """:func:`interval_local_test` against the relation as a database
+    stores it, answered from the union of the stored tuples' forbidden
+    intervals, which the relation maintains (DESIGN.md §17).
+
+    Usage::
+
+        test = IntervalLocalTest(analysis)
+        test.passes_in(t, db)  # == interval_local_test(analysis, t, db.facts(l))
+
+    The first call on a relation builds the union; every later insert
+    and delete of the relation keeps it current, so a call computes only
+    the inserted tuple's intervals.
+    """
+
+    def __init__(self, analysis: ICQAnalysis) -> None:
+        variable = analysis.single_variable
+        if variable is None:
+            raise NotApplicableError(
+                "the interval test applies when exactly one remote variable "
+                "is constrained; use box_local_test or the Theorem 5.2 engine"
+            )
+        self.analysis = analysis
+        self.variable = variable
+
+    def intervals(self, values: tuple) -> list[Interval]:
+        """The forbidden intervals of one tuple, one per variant it
+        activates."""
+        intervals = []
+        for variant in self.analysis.variants:
+            interval = forbidden_interval(variant, self.variable, values)
+            if interval is not None:
+                intervals.append(interval)
+        return intervals
+
+    def passes_in(self, inserted: tuple, db) -> bool:
+        """The complete local test: True == the insertion cannot newly
+        violate the ICQ."""
+        relation = db.relation(self.analysis.local_predicate)
+        if relation is None:
+            covered = IntervalSet()
+        else:
+            covered = relation.maintained(self, self._build).covered()
+        return all(covered.covers(query) for query in self.intervals(tuple(inserted)))
+
+    def _build(self, relation) -> "_IntervalUnion":
+        if relation.arity != len(self.analysis.local_atom.args):
+            raise _arity_error(self.analysis, relation.arity)
+        union = _IntervalUnion(self, {}, None)
+        for values in relation:
+            union.insert(values)
+        return union
+
+
+class _IntervalUnion:
+    """A relation's forbidden intervals under one :class:`IntervalLocalTest`:
+    a multiset (interval -> number of tuple/variant pairs forbidding it)
+    and their normalized union, maintained by the relation.
+
+    An insert extends the union by each new interval.  A delete that
+    drops an interval's count to zero discards the union, and the next
+    test rebuilds it from the distinct intervals, not from the tuples.
+    """
+
+    __slots__ = ("test", "counts", "union")
+
+    def __init__(
+        self,
+        test: IntervalLocalTest,
+        counts: dict[Interval, int],
+        union: Optional[IntervalSet],
+    ) -> None:
+        self.test = test
+        self.counts = counts
+        self.union = union
+
+    def insert(self, values: tuple) -> None:
+        # Computed before anything changes: a value outside the ordered
+        # domain raises here and leaves the multiset as it was.
+        intervals = self.test.intervals(values)
+        counts = self.counts
+        for interval in intervals:
+            count = counts.get(interval, 0)
+            counts[interval] = count + 1
+            if not count and self.union is not None:
+                self.union = self.union.with_interval(interval)
+
+    def delete(self, values: tuple) -> None:
+        counts = self.counts
+        for interval in self.test.intervals(values):
+            count = counts[interval] - 1
+            if count:
+                counts[interval] = count
+            else:
+                del counts[interval]
+                self.union = None
+
+    def copy(self) -> "_IntervalUnion":
+        return _IntervalUnion(self.test, dict(self.counts), self.union)
+
+    def covered(self) -> IntervalSet:
+        if self.union is None:
+            self.union = IntervalSet(self.counts)
+        return self.union
+
+
 # -- multi-dimensional boxes ----------------------------------------------------
 
 def boxes_cover(query: Sequence[Interval], boxes: Sequence[Sequence[Interval]]) -> bool:
@@ -457,6 +575,10 @@ def box_local_test(
         return True
     inserted = tuple(inserted)
     relation = [tuple(v) for v in relation]
+    arity = len(analysis.local_atom.args)
+    for values in relation:
+        if len(values) != arity:
+            raise _arity_error(analysis, len(values))
 
     def box_for(variant: ICQVariant, values: tuple) -> Optional[list[Interval]]:
         box: list[Interval] = []
@@ -486,3 +608,16 @@ def box_local_test(
         if not boxes_cover(query, existing):
             return False
     return True
+
+
+class BoxLocalTest:
+    """:func:`box_local_test` against the relation as a database stores
+    it (the box sweep reads every stored tuple)."""
+
+    def __init__(self, analysis: ICQAnalysis) -> None:
+        self.analysis = analysis
+
+    def passes_in(self, inserted: tuple, db) -> bool:
+        return box_local_test(
+            self.analysis, inserted, db.facts(self.analysis.local_predicate)
+        )

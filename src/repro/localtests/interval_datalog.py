@@ -193,6 +193,10 @@ class IntervalDatalogTest:
         self.program = build_interval_program(analysis)
         self._engine = Engine(self.program)
 
+    def passes_in(self, inserted: tuple, db) -> bool:
+        """:meth:`passes` against the local relation as *db* stores it."""
+        return self.passes(inserted, db.facts(self.analysis.local_predicate))
+
     def passes(self, inserted: tuple, local_relation: Iterable[tuple]) -> bool:
         """The complete local test, computed by running the datalog
         program: True == the insertion cannot newly violate the ICQ."""

@@ -19,10 +19,10 @@ from repro.containment.cqc import is_contained_in_union_cqc
 from repro.core.compiler import ConstraintCompiler, LocalTestPlan
 from repro.datalog.atoms import PANIC, Atom, Comparison, ComparisonOp
 from repro.datalog.database import Database
-from repro.datalog.parser import parse_rule
+from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable
-from repro.errors import ReproError
+from repro.errors import EvaluationError, ReproError
 from repro.localtests import complete
 from repro.localtests.complete import (
     ContainmentLocalTest,
@@ -325,3 +325,26 @@ class TestSelectionCost:
             complete_local_test_insertion(
                 SAL_FLOOR, "emp", ("new", "d7", 60), [("e1", "d7")]
             )
+
+    @pytest.mark.parametrize(
+        "kind, source",
+        [
+            ("interval", "panic :- meter(K, V) & capLimit(C) & V > C"),
+            ("box", "panic :- meter(X, Y) & r(Z, W) & X <= Z & W <= Y"),
+        ],
+    )
+    def test_interval_and_box_relation_of_another_arity_raise_typed_error(
+        self, kind, source
+    ):
+        constraint = Constraint(parse_program(source), "c")
+        plan = ConstraintCompiler([constraint], {"meter"}).local_test_plan(
+            constraint, "meter"
+        )
+        assert plan.kind == kind
+        short = Database({"meter": [("a",)]})
+        with pytest.raises(EvaluationError):
+            plan.run_against((3, 4), short)
+        # the relation is unchanged, and a stored tuple of the right
+        # arity settles the same insert
+        assert short.facts("meter") == {("a",)}
+        assert plan.run_against((3, 4), Database({"meter": [(3, 4)]}))

@@ -3,12 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import NotApplicableError
 from repro.arith.intervals import Interval
 from repro.arith.order import NEG_INF, POS_INF
-from repro.datalog.parser import parse_rule
+from repro.constraints.constraint import Constraint
+from repro.core.compiler import ConstraintCompiler
+from repro.datalog.database import Database, Delta
+from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.terms import Variable
+from repro.localtests import icq
 from repro.localtests.complete import complete_local_test_insertion
 from repro.localtests.icq import (
     analyze_icq,
@@ -222,3 +227,157 @@ class TestBoxCoverage:
             fast = box_local_test(analysis, inserted, relation)
             reference = complete_local_test_insertion(rule, "l", inserted, relation)
             assert fast == reference, (inserted, relation)
+
+
+# -- the maintained interval union ----------------------------------------------
+
+#: single-variable ICQs over l(X, Y) and a remote r(Z)
+MAINTAINED_SHAPES = [
+    "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y",  # Example 6.1
+    "panic :- l(X,Y) & r(Z) & X < Z & Z < Y",
+    "panic :- l(X,Y) & r(Z) & X < Z & Z <= Y",
+    "panic :- l(X,Y) & r(Z) & X <= Z & Z < 2",  # a constant bound
+    "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y & Z <> 1",  # two variants
+    "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y & X < 2",  # a local guard
+    "panic :- l(X,Y) & r(Z) & Y > Z",  # the V > C ray down to NEG_INF
+    "panic :- l(X,Y) & r(Z) & X <= Z",  # a ray up to POS_INF
+]
+#: 1, 1.0 and True are one value; "1" is another
+MIXED = (0, 1, 1.0, True, 2, "1", "a")
+
+
+def interval_plan(source: str):
+    constraint = Constraint(parse_program(source), "c")
+    plan = ConstraintCompiler([constraint], {"l"}).local_test_plan(constraint, "l")
+    assert plan.kind == "interval"
+    return plan
+
+
+class TestMaintainedUnion:
+    """``plan.run_against`` answers from the union the live relation
+    maintains; it must equal :func:`interval_local_test` over the
+    relation's tuples after every kind of mutation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_tuple_list_test(self, data):
+        shapes = data.draw(
+            st.lists(st.sampled_from(MAINTAINED_SHAPES), min_size=1, max_size=2,
+                     unique=True)
+        )
+        plans = [interval_plan(shape) for shape in shapes]
+        row = st.tuples(st.sampled_from(MIXED), st.sampled_from(MIXED))
+        probes = data.draw(st.lists(row, min_size=1, max_size=4))
+        dbs = [Database({"l": data.draw(st.lists(row, max_size=6))})]
+
+        def check(step):
+            for db in dbs:
+                for plan in plans:
+                    for probe in probes:
+                        expected = interval_local_test(
+                            plan.analysis, probe, db.facts("l")
+                        )
+                        assert plan.run_against(probe, db) == expected, (
+                            plan.rule, probe, sorted(db.facts("l"), key=repr), step
+                        )
+
+        def stored_or_new(db):
+            stored = sorted(db.facts("l"), key=repr)
+            return data.draw(st.sampled_from(stored) if stored else row)
+
+        if data.draw(st.booleans()):
+            check("start")  # else the first step may copy before any build
+        for _ in range(data.draw(st.integers(1, 12))):
+            db = dbs[data.draw(st.integers(0, len(dbs) - 1))]
+            step = data.draw(
+                st.sampled_from(["insert", "delete", "modify", "undo", "copy"])
+            )
+            if step == "insert":
+                db.insert("l", data.draw(row))
+            elif step == "delete":
+                db.delete("l", stored_or_new(db))
+            elif step == "modify":
+                db.apply(Delta({"l": [data.draw(row)]}, {"l": [stored_or_new(db)]}))
+            elif step == "undo":
+                delta = Delta()
+                for _ in range(data.draw(st.integers(1, 3))):
+                    if data.draw(st.booleans()):
+                        delta.insert("l", data.draw(row))
+                    else:
+                        delta.delete("l", stored_or_new(db))
+                token = db.apply(delta)
+                check("applied")
+                db.undo(token)
+            elif len(dbs) < 3:
+                dbs.append(db.copy())
+            check(step)
+
+    def test_deleting_one_of_two_equal_intervals_keeps_the_point_covered(self):
+        # the ray V > C forbids (-inf, 5) for both tuples
+        plan = interval_plan("panic :- l(X,Y) & r(Z) & Y > Z")
+        db = Database({"l": [(0, 5), (1, 5)]})
+        assert plan.run_against(("k", 4), db)
+        db.delete("l", (0, 5))
+        assert plan.run_against(("k", 4), db)
+        db.delete("l", (1, 5))
+        assert not plan.run_against(("k", 4), db)
+
+    def test_open_ends_meeting_at_a_point_leave_it_uncovered(self):
+        plan = interval_plan("panic :- l(X,Y) & r(Z) & X < Z & Z <= Y")
+        db = Database({"l": [(0, 1), (2, 3)]})
+        assert not plan.run_against((0, 3), db)  # (0,1] u (2,3] misses (1,2]
+        db.insert("l", (1, 2))  # (1,2] closes the gap
+        assert plan.run_against((0, 3), db)
+        db.delete("l", (1, 2))
+        assert not plan.run_against((0, 3), db)
+
+    def test_copies_share_the_union_until_one_side_mutates(self):
+        plan = interval_plan("panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y")
+        db = Database({"l": [(0, 2), (2, 4)]})
+        assert plan.run_against((1, 3), db)
+        snapshot = db.copy()
+        db.delete("l", (2, 4))
+        assert not plan.run_against((1, 3), db)
+        assert plan.run_against((1, 3), snapshot)
+        snapshot.insert("l", (4, 6))
+        assert plan.run_against((1, 5), snapshot)
+        assert not plan.run_against((1, 5), db)
+
+    def test_a_value_outside_the_order_leaves_the_relation_unchanged(self):
+        plan = interval_plan("panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y")
+        db = Database({"l": [(0, 2)]})
+        assert plan.run_against((1, 2), db)
+        with pytest.raises(TypeError):
+            db.insert("l", (1, None))
+        assert db.facts("l") == {(0, 2)}
+        assert plan.run_against((1, 2), db)
+        assert not plan.run_against((1, 3), db)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y",
+            "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y & Z <> 1",
+        ],
+    )
+    def test_a_test_computes_only_the_inserted_tuples_intervals(
+        self, monkeypatch, source
+    ):
+        plan = interval_plan(source)
+        variants = len(plan.analysis.variants)
+        db = Database({"l": [(i, i + 3) for i in range(1000)]})
+        assert plan.run_against((5, 7), db)  # builds the union: 1,000 rows
+        calls = []
+
+        def counting(variant, variable, values):
+            calls.append(values)
+            return forbidden_interval(variant, variable, values)
+
+        monkeypatch.setattr(icq, "forbidden_interval", counting)
+        assert plan.run_against((5, 7), db)
+        assert len(calls) == variants
+        db.insert("l", (2000, 2001))  # the new row's intervals only
+        assert len(calls) == 2 * variants
+        db.delete("l", (0, 3))  # its interval leaves: the union is rebuilt
+        assert plan.run_against((1, 3), db)  # from distinct intervals
+        assert len(calls) == 4 * variants

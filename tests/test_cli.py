@@ -341,6 +341,58 @@ class TestCommands:
         assert "error" in capsys.readouterr().err
 
 
+class TestMalformedInputs:
+    """A database the loader cannot take, or a stored relation of another
+    arity than the local test's, ends in exit 3 with an ``error:`` line:
+    exit 1 would read as a rejected update."""
+
+    CAP = "%% cap\npanic :- meter(K, V) & capLimit(C) & V > C\n"
+    BOX = "%% box\npanic :- meter(X, Y) & r(Z, W) & X <= Z & W <= Y\n"
+
+    def run(self, tmp_path, capsys, constraints, db_text):
+        (tmp_path / "c.dl").write_text(constraints)
+        (tmp_path / "db.json").write_text(db_text)
+        (tmp_path / "s.txt").write_text("+meter(3, 4)\n")
+        code = main(
+            ["check-stream", str(tmp_path / "c.dl"), "--db", str(tmp_path / "db.json"),
+             "--updates", str(tmp_path / "s.txt"), "--local", "meter"]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize(
+        "db_text, message",
+        [
+            ('{"meter": [[1, 2]', "not a JSON database"),
+            ('[["a"]]', "a JSON object"),
+            ('{"meter": {"a": [1, 2]}}', "meter: the facts must be a list"),
+            ('{"meter": [5]}', "meter fact 5 is not a list"),
+            ('{"meter": [[2, null]], "capLimit": [[100]]}', "meter fact [2, null]"),
+            ('{"meter": [[2, [1, 2]]]}', "meter fact [2, [1, 2]]"),
+            ('{"meter": [[2, NaN]]}', "meter fact [2, NaN]"),
+            ('{"meter": [[2, {"v": 1}]]}', 'meter fact [2, {"v": 1}]'),
+        ],
+    )
+    def test_malformed_database(self, tmp_path, capsys, db_text, message):
+        assert message in self.run(tmp_path, capsys, self.CAP, db_text)
+
+    @pytest.mark.parametrize("constraints", [CAP, BOX])
+    def test_relation_of_another_arity(self, tmp_path, capsys, constraints):
+        err = self.run(
+            tmp_path, capsys, constraints, '{"meter": [["a"]], "capLimit": [[100]]}'
+        )
+        assert "has arity 1, the local test expects 2" in err
+
+    def test_every_value_kind_loads(self, tmp_path):
+        path = tmp_path / "db.json"
+        path.write_text('{"p": [["a", -1, 2.5, true, 1e400]]}')
+        assert load_database(str(path)).facts("p") == {
+            ("a", -1, 2.5, True, float("inf"))
+        }
+
+
 class TestSiteFaultRateParsing:
     """Regressions for ``--site-fault-rate SITE=P`` validation: duplicate
     site names used to silently last-write-win, and any float parsed —
