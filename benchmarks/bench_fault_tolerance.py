@@ -1,6 +1,6 @@
 """M3 — graceful degradation: unreliable remotes must not break checking.
 
-Drives the Section-2 employee workload through the distributed checker
+Drives the Section-2 employee workload through the one-shard checker
 with the remote site behind an
 :class:`~repro.distributed.faults.UnreliableRemote` and a
 retry/backoff/circuit-breaker
@@ -40,9 +40,9 @@ import sys
 import time
 
 from repro.core.outcomes import Outcome
-from repro.distributed.checker import DistributedChecker
 from repro.distributed.faults import FaultModel, UnreliableRemote
 from repro.distributed.remote import FetchPolicy, RemoteLink
+from repro.distributed.sharded import ShardedChecker
 from repro.distributed.workload import employee_workload
 
 try:
@@ -69,7 +69,7 @@ def run_stream(num_updates: int, fault_rate: float, outage: bool):
     outages = ((10, 30),) if outage else ()
     link = RemoteLink(
         UnreliableRemote(
-            workload.sites.remote,
+            workload.sites.remotes["remote"],
             FaultModel(
                 failure_rate=fault_rate,
                 latency=0.01,
@@ -81,9 +81,9 @@ def run_stream(num_updates: int, fault_rate: float, outage: bool):
         FetchPolicy(max_attempts=2, failure_threshold=4, cooldown_fetches=2),
         seed=42,
     )
-    checker = DistributedChecker(
-        workload.constraints, workload.sites,
-        apply_on_unknown=False, remote_link=link,
+    checker = ShardedChecker(
+        workload.constraints, workload.sites, shards=1,
+        apply_on_unknown=False, remote_links={"remote": link},
     )
     t0 = time.perf_counter()
     results = checker.check_stream(workload.updates)

@@ -43,9 +43,9 @@ import time
 
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core.outcomes import Outcome
-from repro.distributed.checker import DistributedChecker
 from repro.distributed.faults import FaultModel, UnreliableRemote
 from repro.distributed.remote import FetchPolicy, RemoteLink
+from repro.distributed.sharded import ShardedChecker
 from repro.distributed.site import FederatedDatabase, Site
 from repro.distributed.workload import Workload, federated_workload
 
@@ -186,8 +186,8 @@ def run_recovery(num_updates: int, faulted: bool):
     links = build_links(
         workload.sites, rates=FAULT_RATES if faulted else None
     )
-    checker = DistributedChecker(
-        workload.constraints, workload.sites,
+    checker = ShardedChecker(
+        workload.constraints, workload.sites, shards=1,
         apply_on_unknown=False, remote_links=links,
     )
     t0 = time.perf_counter()
@@ -234,8 +234,8 @@ def run_fanout(num_updates: int, parallel: bool, latency: float = 0.05):
         )
         for name, site in workload.sites.remotes.items()
     }
-    checker = DistributedChecker(
-        workload.constraints, workload.sites,
+    checker = ShardedChecker(
+        workload.constraints, workload.sites, shards=1,
         remote_links=links, parallel_fanout=parallel,
     )
     t0 = time.perf_counter()

@@ -11,14 +11,14 @@ resolution rate tracks the coverage knob; zero ground-truth violations.
 """
 
 from repro.core.outcomes import CheckLevel
-from repro.distributed.checker import DistributedChecker
+from repro.distributed.sharded import ShardedChecker
 from repro.distributed.workload import employee_workload, interval_workload
 
 from _tables import print_table
 
 
 def drive(workload):
-    checker = DistributedChecker(workload.constraints, workload.sites)
+    checker = ShardedChecker(workload.constraints, workload.sites, shards=1)
     for update in workload.updates:
         checker.process(update)
     assert workload.constraints.holds_all(workload.sites.ground_truth_database())
@@ -80,9 +80,9 @@ def test_m1_datalog_path_equivalent(benchmark):
     slow = interval_workload(
         initial_intervals=12, num_updates=15, covered_fraction=0.6, seed=21
     )
-    checker_fast = DistributedChecker(fast.constraints, fast.sites)
-    checker_slow = DistributedChecker(
-        slow.constraints, slow.sites, use_interval_datalog=True
+    checker_fast = ShardedChecker(fast.constraints, fast.sites, shards=1)
+    checker_slow = ShardedChecker(
+        slow.constraints, slow.sites, shards=1, use_interval_datalog=True
     )
     for update_fast, update_slow in zip(fast.updates, slow.updates):
         reports_fast = checker_fast.process(update_fast)
@@ -95,8 +95,9 @@ def test_m1_datalog_path_equivalent(benchmark):
     workload = interval_workload(
         initial_intervals=12, num_updates=10, covered_fraction=0.6, seed=22
     )
-    checker = DistributedChecker(
-        workload.constraints, workload.sites, use_interval_datalog=True
+    checker = ShardedChecker(
+        workload.constraints, workload.sites, shards=1,
+        use_interval_datalog=True,
     )
 
     def run():

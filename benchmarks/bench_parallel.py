@@ -51,7 +51,7 @@ from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.datalog.database import Database
 from repro.distributed.remote import RemoteLink
 from repro.distributed.sharded import ShardedChecker
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase, Site
 from repro.updates.update import Deletion, Insertion
 
 try:
@@ -151,10 +151,10 @@ def build_workload(num_updates: int, seed: int = 13, domain: int = 40):
     return local, remote, updates
 
 
-def make_sites(local: Database, remote: Database) -> TwoSiteDatabase:
-    return TwoSiteDatabase(
+def make_sites(local: Database, remote: Database) -> FederatedDatabase:
+    return FederatedDatabase(
         local=Site("local", local),
-        remote=Site("remote", remote),
+        remotes=[Site("remote", remote)],
         local_predicates=set(ALL_LOCAL),
     )
 
@@ -183,7 +183,7 @@ def run_single(constraints, local, remote, updates, latency):
     )
     t0 = time.perf_counter()
     verdicts = [
-        verdict_key(session.process(u, remote=sites.remote.snapshot))
+        verdict_key(session.process(u, remote=sites.remotes["remote"].snapshot))
         for u in updates
     ]
     return {
@@ -311,11 +311,11 @@ def run_overlap_experiment(quick: bool):
 
     def run(overlap: bool):
         sites = make_sites(base_local.copy(), base_remote.copy())
-        slow = SlowRemote(sites.remote, REMOTE_LATENCY)
+        slow = SlowRemote(sites.remotes["remote"], REMOTE_LATENCY)
         link = RemoteLink(slow)
         checker = ShardedChecker(
             constraints, sites, shards=2,
-            remote_link=link, overlap_remote=overlap,
+            remote_links={"remote": link}, overlap_remote=overlap,
         )
         t0 = time.perf_counter()
         in_stream = checker.check_stream(updates)

@@ -51,7 +51,7 @@ from repro.core.session import CheckSession
 from repro.datalog.database import Database
 from repro.distributed.rebalance import RebalancePolicy
 from repro.distributed.sharded import KeyRangePartitioner, ShardedChecker
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase, Site
 from repro.updates.update import Insertion
 
 try:
@@ -217,10 +217,10 @@ def build_skewed_workload(num_updates: int, seed: int = 23):
     return updates
 
 
-def make_skew_sites() -> TwoSiteDatabase:
-    return TwoSiteDatabase(
+def make_skew_sites() -> FederatedDatabase:
+    return FederatedDatabase(
         local=Site("local", Database({HOT: []})),
-        remote=Site("remote", Database({"rem": []})),
+        remotes=[Site("remote", Database({"rem": []}))],
         local_predicates={HOT},
     )
 

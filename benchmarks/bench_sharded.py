@@ -35,7 +35,7 @@ from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core.session import CheckSession
 from repro.datalog.database import Database
 from repro.distributed.sharded import ShardedChecker
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase, Site
 from repro.updates.update import Deletion, Insertion, Modification
 
 try:
@@ -91,10 +91,10 @@ def build_workload(num_updates: int, seed: int = 7, domain: int = 40):
     return local, remote, updates
 
 
-def make_sites(local: Database, remote: Database) -> TwoSiteDatabase:
-    return TwoSiteDatabase(
+def make_sites(local: Database, remote: Database) -> FederatedDatabase:
+    return FederatedDatabase(
         local=Site("local", local),
-        remote=Site("remote", remote),
+        remotes=[Site("remote", remote)],
         local_predicates=set(PREDICATES),
     )
 
@@ -116,7 +116,7 @@ def run_single(constraints, local, remote, updates):
     )
     t0 = time.perf_counter()
     verdicts = [
-        verdict_key(session.process(u, remote=sites.remote.snapshot))
+        verdict_key(session.process(u, remote=sites.remotes["remote"].snapshot))
         for u in updates
     ]
     elapsed = time.perf_counter() - t0

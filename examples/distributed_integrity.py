@@ -14,8 +14,9 @@ rates (how often a hire resembles an existing colleague).
 Run:  python examples/distributed_integrity.py
 """
 
-from repro import DistributedChecker, employee_workload
+from repro import employee_workload
 from repro.core import CheckLevel
+from repro.distributed import ShardedChecker
 
 
 def run_protocol(covered_fraction: float, use_datalog: bool = False):
@@ -25,8 +26,9 @@ def run_protocol(covered_fraction: float, use_datalog: bool = False):
         covered_fraction=covered_fraction,
         seed=11,
     )
-    checker = DistributedChecker(
-        workload.constraints, workload.sites, use_interval_datalog=use_datalog
+    checker = ShardedChecker(
+        workload.constraints, workload.sites, shards=1,
+        use_interval_datalog=use_datalog,
     )
     for update in workload.updates:
         checker.process(update)

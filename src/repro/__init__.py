@@ -73,13 +73,7 @@ from repro.datalog import (
     parse_program,
     parse_rule,
 )
-from repro.distributed import (
-    DistributedChecker,
-    Site,
-    TwoSiteDatabase,
-    employee_workload,
-    interval_workload,
-)
+from repro.distributed import Site, employee_workload, interval_workload
 from repro.localtests import (
     AlgebraicLocalTest,
     IntervalDatalogTest,
@@ -120,7 +114,6 @@ __all__ = [
     "ConstraintSet",
     "Database",
     "Deletion",
-    "DistributedChecker",
     "Engine",
     "EvaluationError",
     "Insertion",
@@ -139,7 +132,6 @@ __all__ = [
     "Shape",
     "Site",
     "StratificationError",
-    "TwoSiteDatabase",
     "UndecidableError",
     "UnsupportedClassError",
     "Variable",

@@ -20,12 +20,16 @@ delete, ``~pred(old, ...)->(new, ...)`` to modify; values parse like
 datalog terms (numbers, lowercase names, or quoted strings).
 
 ``check-stream`` reads one update per line (blank lines and ``#``
-comments ignored) from a file or stdin and drives the incremental
-:class:`~repro.core.session.CheckSession` through the whole stream,
-printing per-update verdicts and the protocol statistics.  With
-``--batch [N]`` consecutive safe updates share one maintenance pass
-(identical verdicts); with ``--transaction`` the stream is atomic and
-any rejection rolls the local site back exactly.
+comments ignored) from a file or stdin and drives one
+:class:`~repro.distributed.sharded.ShardedChecker` through the whole
+stream — a single shard, i.e. one incremental
+:class:`~repro.core.session.CheckSession` over the local site, unless
+``--shards`` asks for more — printing per-update verdicts and the
+protocol statistics.  With ``--batch [N]`` consecutive safe updates
+share one maintenance pass (identical verdicts); with ``--transaction``
+the stream is atomic and any rejection rolls the local site back
+exactly, on any number of shards (but not with ``--executor process``,
+whose worker processes hold the shard state).
 
 The ``--fault-rate`` / ``--outage`` / ``--retries`` /
 ``--remote-timeout`` / ``--remote-latency`` / ``--fault-seed`` flags
@@ -306,10 +310,11 @@ def _build_sites(args: argparse.Namespace, db: Database, local_predicates: set[s
     """The (possibly federated) site topology for ``check-stream``.
 
     ``--sites 2`` (the default) is the classic local + single-remote
-    split.  ``--sites N`` with N > 2 deals the remote predicates
-    round-robin (sorted, so deterministic) across N-1 named remote
-    sites ``remote1`` .. ``remoteN-1``."""
-    from repro.distributed.site import FederatedDatabase, Site, TwoSiteDatabase
+    split, with the one remote named ``remote``.  ``--sites N`` with
+    N > 2 deals the remote predicates round-robin (sorted, so
+    deterministic) across N-1 named remote sites ``remote1`` ..
+    ``remoteN-1``."""
+    from repro.distributed.site import FederatedDatabase, Site
 
     total = args.sites if getattr(args, "sites", None) else 2
     if total < 2:
@@ -317,9 +322,9 @@ def _build_sites(args: argparse.Namespace, db: Database, local_predicates: set[s
     local = Site("local", db.restricted_to(local_predicates))
     remote_predicates = sorted(db.predicates() - local_predicates)
     if total == 2:
-        return TwoSiteDatabase(
+        return FederatedDatabase(
             local=local,
-            remote=Site("remote", db.restricted_to(set(remote_predicates))),
+            remotes=[Site("remote", db.restricted_to(set(remote_predicates)))],
             local_predicates=local_predicates,
         )
     count = total - 1
@@ -352,12 +357,14 @@ def _parse_boundary(text: str) -> object:
 
 
 def _build_partitioner(args: argparse.Namespace, local_predicates: set[str]):
-    """The shard partitioner for ``--shards``: key-range when any
-    ``--shard-by`` spec is given, round-robin by predicate otherwise."""
+    """The shard partitioner: key-range when any ``--shard-by`` spec is
+    given, round-robin by predicate otherwise; one shard when
+    ``--shards`` is absent."""
     from repro.distributed.sharded import KeyRangePartitioner, PredicatePartitioner
 
+    shards = 1 if args.shards is None else args.shards
     if not args.shard_by:
-        return PredicatePartitioner(args.shards, local_predicates)
+        return PredicatePartitioner(shards, local_predicates)
     boundaries: dict[str, list] = {}
     for spec in args.shard_by:
         predicate, sep, cuts = spec.partition("=")
@@ -368,7 +375,7 @@ def _build_partitioner(args: argparse.Namespace, local_predicates: set[str]):
         boundaries[predicate.strip()] = [
             _parse_boundary(cut) for cut in cuts.split(",") if cut.strip()
         ]
-    return KeyRangePartitioner(args.shards, boundaries, local_predicates)
+    return KeyRangePartitioner(shards, boundaries, local_predicates)
 
 
 #: resolve_pending rounds before ``check-stream`` gives up on a dead link
@@ -456,56 +463,37 @@ def _overlay_recovered_facts(db: Database, local_predicates, recovered) -> Datab
     return merged
 
 
-def _checkpoint_payload(pos: int, args: argparse.Namespace, checker, link) -> dict:
+def _checkpoint_payload(pos: int, checker, link) -> dict:
     """One checkpoint manifest payload: everything ``--resume`` needs at
     stream position *pos* (facts, pending queue, arrival clock floor,
     protocol + session stats, shard cuts + per-shard queues/clock cells,
     worker-restart counters, link state).
 
-    Sharded manifests carry the pending queues *per shard*
-    (``shard_pending``) alongside the flat sorted list, plus each
-    shard's arrival-clock cell (``shard_seq``) — a shard may have
-    stamped sequence numbers without queueing anything, and the resumed
-    arrival clock must restart past those too.  Manifests are only cut
-    at barriers (or the serial between-updates boundary), where the
-    checkpointed state provably equals the journal's committed prefix.
+    Manifests carry the pending queues *per shard* (``shard_pending``)
+    alongside the flat sorted list, plus each shard's arrival-clock cell
+    (``shard_seq``) — a shard may have stamped sequence numbers without
+    queueing anything, and the resumed arrival clock must restart past
+    those too.  Manifests are only cut at barriers (or the serial
+    between-updates boundary), where the checkpointed state provably
+    equals the journal's committed prefix.
     """
     from repro.durability.journal import entry_to_json
 
-    shard_pending = None
-    shard_seq = None
-    worker_restarts = None
-    if args.shards and getattr(checker, "_procpool", None) is not None:
-        states = checker._procpool.checkpoint_state()
-        local_db = checker.local_database()
-        shard_pending = [
-            [entry_to_json(entry) for entry in state["pending"]]
-            for state in states
-        ]
+    procpool = checker._procpool
+    if procpool is not None:
+        states = procpool.checkpoint_state()
+        queues = [state["pending"] for state in states]
         shard_seq = [state["seq"] for state in states]
-        worker_restarts = checker._procpool.restart_counts()
-        session_stats = [state["stats"].to_dict() for state in states]
-        pending = sorted(
-            (entry for state in states for entry in state["pending"]),
-            key=lambda entry: entry.seq,
-        )
+        session_stats = [state["stats"] for state in states]
     else:
-        if args.shards:
-            local_db = checker.local_database()
-            sessions = checker.sessions
-            shard_pending = [
-                [entry_to_json(entry) for entry in session._pending]
-                for session in sessions
-            ]
-            shard_seq = [cell[0] for cell in checker._seq_cells]
-        else:
-            local_db = checker.sites.local.unmetered()
-            sessions = [checker.session]
-        session_stats = [session.stats.to_dict() for session in sessions]
-        pending = sorted(
-            (entry for session in sessions for entry in session._pending),
-            key=lambda entry: entry.seq,
-        )
+        queues = [session._pending for session in checker.sessions]
+        shard_seq = [cell[0] for cell in checker._seq_cells]
+        session_stats = [session.stats for session in checker.sessions]
+    local_db = checker.local_database()
+    pending = sorted(
+        (entry for queue in queues for entry in queue),
+        key=lambda entry: entry.seq,
+    )
     payload = {
         "pos": pos,
         "facts": {
@@ -517,24 +505,23 @@ def _checkpoint_payload(pos: int, args: argparse.Namespace, checker, link) -> di
         "pending": [entry_to_json(entry) for entry in pending],
         "seq": max((entry.seq for entry in pending), default=0),
         "stats": checker.stats.to_dict(),
-        "session_stats": session_stats,
-        "cuts": {},
-        "link": link.state_dict() if link is not None else None,
-    }
-    if shard_pending is not None:
-        payload["shard_pending"] = shard_pending
-        payload["shard_seq"] = shard_seq
-    if worker_restarts is not None:
-        payload["worker_restarts"] = worker_restarts
-    if args.shards and args.shard_by:
-        payload["cuts"] = {
+        "session_stats": [stats.to_dict() for stats in session_stats],
+        "cuts": {
             predicate: list(checker.partitioner.boundaries(predicate))
             for predicate in sorted(checker.partitioner.split_predicates)
-        }
+        },
+        "link": link.state_dict() if link is not None else None,
+        "shard_pending": [
+            [entry_to_json(entry) for entry in queue] for queue in queues
+        ],
+        "shard_seq": shard_seq,
+    }
+    if procpool is not None:
+        payload["worker_restarts"] = procpool.restart_counts()
     return payload
 
 
-def _restore_into(args: argparse.Namespace, checker, recovered, link) -> None:
+def _restore_into(checker, recovered, link) -> None:
     """Install a recovered state into a freshly built checker: pending
     entries re-queued per shard in sequence order, the arrival clock
     restarted past every recovered sequence number, protocol + session
@@ -547,57 +534,47 @@ def _restore_into(args: argparse.Namespace, checker, recovered, link) -> None:
     from repro.core.session import SessionStats
     from repro.durability.journal import entry_from_json
 
-    if args.shards:
-        # Per-shard queues straight from the manifest when it has them
-        # (the journal-tail descriptors are not in the manifest's shard
-        # split and route by the partitioner); pre-shard-manifest
-        # journals route everything by the partitioner.
-        if recovered.shard_pending is not None:
-            per_shard = [
-                [entry_from_json(desc) for desc in queue]
-                for queue in recovered.shard_pending
-            ]
-            for desc in recovered.tail_pending:
-                entry = entry_from_json(desc)
-                per_shard[checker.shard_of(entry.update)].append(entry)
-        else:
-            per_shard = [[] for _ in range(checker.shards)]
-            for desc in recovered.pending:
-                entry = entry_from_json(desc)
-                per_shard[checker.shard_of(entry.update)].append(entry)
-        for queue in per_shard:
-            queue.sort(key=lambda entry: entry.seq)
-        if checker._procpool is not None:
-            checker._procpool.restore_checkpoint(
-                per_shard,
-                [
-                    SessionStats.from_dict(data)
-                    for data in recovered.session_stats
-                ],
-                recovered.worker_restarts,
-            )
-        else:
-            for session, queue, data in zip(
-                checker.sessions, per_shard, recovered.session_stats
-            ):
-                session._pending.extend(queue)
-                session.stats = SessionStats.from_dict(data)
-        if recovered.shard_seq is not None:
-            for cell, seq in zip(checker._seq_cells, recovered.shard_seq):
-                cell[0] = seq
-        checker._arrival = itertools.count(recovered.seq + 1)
+    # Per-shard queues straight from the manifest when it has them (the
+    # journal-tail descriptors are not in the manifest's shard split and
+    # route by the partitioner); manifests without them route everything
+    # by the partitioner.
+    if recovered.shard_pending is not None:
+        per_shard = [
+            [entry_from_json(desc) for desc in queue]
+            for queue in recovered.shard_pending
+        ]
+        tail = recovered.tail_pending
     else:
-        entries = [entry_from_json(desc) for desc in recovered.pending]
-        checker.session._pending.extend(entries)
-        checker.session._pending_seq = recovered.seq
-        for session, data in zip([checker.session], recovered.session_stats):
-            session.stats = SessionStats.from_dict(data)
+        per_shard = [[] for _ in range(checker.shards)]
+        tail = recovered.pending
+    for desc in tail:
+        entry = entry_from_json(desc)
+        per_shard[checker.shard_of(entry.update)].append(entry)
+    for queue in per_shard:
+        queue.sort(key=lambda entry: entry.seq)
+    session_stats = [
+        SessionStats.from_dict(data) for data in recovered.session_stats
+    ]
+    if checker._procpool is not None:
+        checker._procpool.restore_checkpoint(
+            per_shard, session_stats, recovered.worker_restarts
+        )
+    else:
+        for session, queue, stats in zip(
+            checker.sessions, per_shard, session_stats
+        ):
+            session._pending.extend(queue)
+            session.stats = stats
+    if recovered.shard_seq is not None:
+        for cell, seq in zip(checker._seq_cells, recovered.shard_seq):
+            cell[0] = seq
+    checker._arrival = itertools.count(recovered.seq + 1)
     checker.stats = recovered.stats
     if link is not None and recovered.link_state is not None:
         link.restore_state(recovered.link_state)
 
 
-def _journal_future_patches(args: argparse.Namespace, checker, writer) -> None:
+def _journal_future_patches(checker, writer) -> None:
     """Journal which pending entries' overlapped escalation futures have
     landed (one ``"fp"`` record per landed future).
 
@@ -608,8 +585,7 @@ def _journal_future_patches(args: argparse.Namespace, checker, writer) -> None:
     let a journal-tail-only recovery mark those descriptors resolved
     (the resumed drain re-fetches synchronously either way; the marker
     preserves what the crashed run knew)."""
-    sessions = checker.sessions if args.shards else [checker.session]
-    for session in sessions:
+    for session in checker.sessions:
         for entry in session._pending:
             if entry.future is not None and entry.future.done():
                 writer.record_future_patch(entry.seq)
@@ -641,7 +617,8 @@ def _drain_pending(checker) -> tuple[list, int]:
 
 
 def _cmd_check_stream(args: argparse.Namespace) -> int:
-    from repro.distributed.checker import DistributedChecker
+    from repro.distributed.rebalance import RebalancePolicy
+    from repro.distributed.sharded import ShardedChecker
 
     constraints = load_constraints(args.constraints)
     db = load_database(args.db) if args.db else Database()
@@ -715,84 +692,69 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
             args, site, rate=site_rates.get(name, site_rates.get("*"))
         )
 
-    if len(sites.remotes) == 1:
-        name, remote_site = next(iter(sites.remotes.items()))
-        remote_link = _site_link(name, remote_site)
-        remote_links = None
-    else:
-        remote_link = None
-        remote_links = {
-            name: built
-            for name, site in sites.remotes.items()
-            if (built := _site_link(name, site)) is not None
-        } or None
-    if args.parallel and not args.shards:
-        raise ReproError(
-            "--parallel needs --shards: the workers are per-shard sessions"
-        )
-    if args.executor == "process" and not args.shards:
-        raise ReproError(
-            "--executor process needs --shards: the workers are per-shard "
-            "sessions"
-        )
+    remote_links = {
+        name: built
+        for name, site in sites.remotes.items()
+        if (built := _site_link(name, site)) is not None
+    }
+    if args.shards is None:
+        if args.parallel is not None:
+            raise ReproError(
+                "--parallel needs --shards: the workers are per-shard sessions"
+            )
+        if args.executor == "process":
+            raise ReproError(
+                "--executor process needs --shards: the workers are per-shard "
+                "sessions"
+            )
+        if args.shard_by:
+            raise ReproError(
+                "--shard-by needs --shards: it splits a predicate across "
+                "the shards"
+            )
     if args.executor == "process" and args.overlap_remote:
         raise ReproError(
             "--overlap-remote needs the thread executor: an async fetch "
             "future cannot cross the process boundary"
         )
+    if args.executor == "process" and args.transaction:
+        raise ReproError(
+            "--transaction needs the thread executor: the worker processes "
+            "hold the shard state"
+        )
     if args.rebalance is not None:
         if args.rebalance < 1:
             raise ReproError("--rebalance interval must be >= 1")
-        if not (args.shards and args.shard_by):
+        if not args.shard_by:
             raise ReproError(
                 "--rebalance needs --shards and --shard-by: it moves "
                 "key-range cut points"
             )
-    if args.shards:
-        from repro.distributed.rebalance import RebalancePolicy
-        from repro.distributed.sharded import ShardedChecker
-
-        if args.transaction:
-            raise ReproError(
-                "--transaction cannot be combined with --shards: the "
-                "atomic rollback spans one session, not a shard fleet"
-            )
-        try:
-            partitioner = _build_partitioner(args, local_predicates)
-            if recovered is not None:
-                # The checker partitions the local database at construction
-                # time, so the recovered cut vectors go in first.
-                for predicate, cuts in recovered.cuts.items():
-                    partitioner.set_boundaries(predicate, cuts)
-            checker = ShardedChecker(
-                constraints, sites,
-                shards=args.shards,
-                partitioner=partitioner,
-                apply_on_unknown=not args.pessimistic,
-                remote_link=remote_link,
-                remote_links=remote_links,
-                snapshot_ttl=args.snapshot_ttl,
-                parallelism=args.parallel or 1,
-                overlap_remote=args.overlap_remote,
-                executor=args.executor,
-                rebalance=(
-                    RebalancePolicy(interval=args.rebalance)
-                    if args.rebalance is not None
-                    else None
-                ),
-                chaos=injector,
-            )
-        except ValueError as exc:
-            raise ReproError(str(exc)) from exc
-    else:
-        checker = DistributedChecker(
+    try:
+        partitioner = _build_partitioner(args, local_predicates)
+        if recovered is not None:
+            # The checker partitions the local database at construction
+            # time, so the recovered cut vectors go in first.
+            for predicate, cuts in recovered.cuts.items():
+                partitioner.set_boundaries(predicate, cuts)
+        checker = ShardedChecker(
             constraints, sites,
+            partitioner=partitioner,
             apply_on_unknown=not args.pessimistic,
-            remote_link=remote_link,
             remote_links=remote_links,
             snapshot_ttl=args.snapshot_ttl,
+            parallelism=1 if args.parallel is None else args.parallel,
             overlap_remote=args.overlap_remote,
+            executor=args.executor,
+            rebalance=(
+                RebalancePolicy(interval=args.rebalance)
+                if args.rebalance is not None
+                else None
+            ),
+            chaos=injector,
         )
+    except ValueError as exc:
+        raise ReproError(str(exc)) from exc
     # The checker may have promoted the per-site links into a single
     # FederationLink; tear down whatever it actually escalates through.
     link = checker.remote_link
@@ -805,14 +767,12 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
         if recovered is not None:
             # Restore before the writer exists: its link-state probe must
             # start from the recovered fetch counters, not fresh zeros.
-            _restore_into(args, checker, recovered, link)
+            _restore_into(checker, recovered, link)
         else:
             write_meta(args.journal, journal_config)
 
         def _write_manifest(pos: int) -> None:
-            write_checkpoint(
-                args.journal, _checkpoint_payload(pos, args, checker, link)
-            )
+            write_checkpoint(args.journal, _checkpoint_payload(pos, checker, link))
 
         writer = JournalWriter(
             args.journal,
@@ -824,10 +784,7 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
         )
         if recovered is not None:
             writer.pos = recovered.pos
-        if args.shards:
-            checker.attach_effect_log(writer)
-        else:
-            checker.session.effect_log = writer
+        checker.attach_effect_log(writer)
         if recovered is None:
             # The resume floor: a pos-0 manifest of the initial state, so
             # recovery always finds a valid checkpoint to replay from.
@@ -881,7 +838,7 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
                 # per landed future, so a resume from the journal alone
                 # knows those pending records' fetches completed.
                 link.wait_inflight()
-                _journal_future_patches(args, checker, writer)
+                _journal_future_patches(checker, writer)
             # End-of-stream manifest *before* the drain: drains are never
             # journalled (resume re-drains deterministically), so a crash
             # anywhere in the drain resumes from here.
@@ -894,11 +851,6 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
                 # can settle from their results instead of breaking on
                 # them (a no-op when the journal block above waited).
                 link.wait_inflight()
-            if injector is not None and not args.shards:
-                # The sharded checker hits this point itself, between the
-                # quarantine and settle phases; the plain checker's drain
-                # is one session call, so the boundary lives here.
-                injector.hit("mid-drain")
             settled, remaining = _drain_pending(checker)
             for update, reports in settled:
                 rejected = any(r.outcome is Outcome.VIOLATED for r in reports)
@@ -926,8 +878,7 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
         # Tear down the process-pool workers even on a crash, so the
         # in-process kill-anywhere tests never leak worker processes
         # (thread mode: no-op).
-        if hasattr(checker, "close"):
-            checker.close()
+        checker.close()
     print()
     width = max(len(label) for label, _ in checker.stats.summary_rows())
     for label, value in checker.stats.summary_rows():
@@ -1069,7 +1020,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--transaction", action="store_true",
         help="treat the whole stream as one atomic transaction: any "
-        "rejection rolls back every applied update exactly (exit 1)",
+        "rejection rolls back every applied update exactly (exit 1); "
+        "needs the thread executor",
     )
     stream.add_argument(
         "--pessimistic", action="store_true",
@@ -1079,14 +1031,13 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="partition the local site into N shards, one check session "
-        "each (verdicts identical to a single session); incompatible "
-        "with --transaction",
+        "each (verdicts identical to a single session; default 1)",
     )
     stream.add_argument(
         "--shard-by", action="append", metavar="PRED=CUT1,CUT2,...",
         help="key-range split PRED across the shards on its first "
         "column (N-1 sorted cut points; repeatable); other predicates "
-        "stay whole, round-robin",
+        "stay whole, round-robin; needs --shards",
     )
     stream.add_argument(
         "--parallel", type=int, default=None, metavar="N",

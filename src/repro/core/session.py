@@ -64,6 +64,7 @@ __all__ = [
     "PendingVerdict",
     "SessionStats",
     "MATERIALIZATION_LIMIT",
+    "aborts_transaction",
 ]
 
 #: A remote database may be handed to :meth:`CheckSession.process` either
@@ -86,6 +87,21 @@ def _accepts_predicates(fetch: Callable) -> bool:
         parameter.kind is inspect.Parameter.VAR_KEYWORD
         or parameter.name == "predicates"
         for parameter in signature.parameters.values()
+    )
+
+
+def aborts_transaction(
+    reports: Iterable[CheckReport], apply_on_unknown: bool
+) -> bool:
+    """Does an update with these final *reports* abort its transaction?
+
+    A rejection does, and so does a member nobody could verify: DEFERRED
+    because the remote was unreachable, or UNKNOWN when only SATISFIED
+    updates apply."""
+    return any(
+        r.outcome in (Outcome.VIOLATED, Outcome.DEFERRED)
+        or (not apply_on_unknown and r.outcome is Outcome.UNKNOWN)
+        for r in reports
     )
 
 
@@ -741,14 +757,7 @@ class CheckSession:
         for update in updates:
             reports = self.process(update, remote, max_level, transaction=txn)
             all_reports.append(reports)
-            aborted = any(
-                r.outcome in (Outcome.VIOLATED, Outcome.DEFERRED)
-                for r in reports
-            ) or (
-                not self.apply_on_unknown
-                and any(r.outcome is Outcome.UNKNOWN for r in reports)
-            )
-            if aborted:
+            if aborts_transaction(reports, self.apply_on_unknown):
                 txn.rollback()
                 self.stats.transactions_rolled_back += 1
                 return False, all_reports

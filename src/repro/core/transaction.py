@@ -44,8 +44,8 @@ class WritableStore(Protocol):
 
     Both :class:`~repro.datalog.database.Database` and the metered
     :class:`~repro.distributed.site.Site` satisfy this, so one rollback
-    path serves the session and the distributed checker (and rolling
-    back through a site meters the compensating writes like any other).
+    path serves any store (and rolling back through a site meters the
+    compensating writes like any other).
     """
 
     def insert(self, predicate: str, fact: tuple) -> bool: ...

@@ -3,11 +3,6 @@ and the fault-tolerant remote link (faults, retries, circuit breaker) —
 generalized from two sites to an N-site federation with per-site links
 and fan-out escalation."""
 
-from repro.distributed.checker import (
-    DistributedChecker,
-    ProtocolStats,
-    resolve_escalation_link,
-)
 from repro.distributed.faults import FaultModel, UnreliableRemote, parse_outage
 from repro.distributed.rebalance import (
     RebalancePlan,
@@ -20,18 +15,15 @@ from repro.distributed.remote import (
     FetchPolicy,
     LinkStats,
     RemoteLink,
+    resolve_escalation_link,
 )
 from repro.distributed.sharded import (
     KeyRangePartitioner,
     PredicatePartitioner,
     ShardedChecker,
 )
-from repro.distributed.site import (
-    AccessStats,
-    FederatedDatabase,
-    Site,
-    TwoSiteDatabase,
-)
+from repro.distributed.site import AccessStats, FederatedDatabase, Site
+from repro.distributed.stats import ProtocolStats
 from repro.distributed.workload import (
     Workload,
     employee_workload,
@@ -42,7 +34,6 @@ from repro.distributed.workload import (
 __all__ = [
     "AccessStats",
     "BreakerState",
-    "DistributedChecker",
     "FaultModel",
     "FederatedDatabase",
     "FederationLink",
@@ -57,7 +48,6 @@ __all__ = [
     "ShardLoadTracker",
     "ShardedChecker",
     "Site",
-    "TwoSiteDatabase",
     "UnreliableRemote",
     "Workload",
     "employee_workload",

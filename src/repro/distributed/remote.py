@@ -62,6 +62,7 @@ __all__ = [
     "RemoteFetchInFlight",
     "RemoteLink",
     "RemoteSite",
+    "resolve_escalation_link",
 ]
 
 
@@ -897,3 +898,40 @@ class FederationLink:
         """Shut down every site link's worker pool (idempotent)."""
         for link in self.links.values():
             link.close()
+
+
+def resolve_escalation_link(
+    sites,
+    remote_links: Optional[Mapping[str, RemoteLink]] = None,
+    parallel_fanout: bool = True,
+    snapshot_ttl: Optional[float] = None,
+    site_ttls: Optional[Mapping[str, float]] = None,
+) -> Optional[RemoteLink | FederationLink]:
+    """The escalation link for a
+    :class:`~repro.distributed.site.FederatedDatabase` *sites*.
+
+    With a single remote its entry in *remote_links* is used as-is, and
+    ``None`` (no entry) means the checker fetches from the raw metered
+    ``snapshot`` of the site.  With several remotes the result is always
+    a :class:`FederationLink`: each site gets its entry from
+    *remote_links* or, when absent, a default fault-free
+    :class:`RemoteLink` wrapper.
+    """
+    remotes = sites.remotes
+    remote_links = remote_links or {}
+    unknown = set(remote_links) - set(remotes)
+    if unknown:
+        raise ValueError(f"remote_links names unknown sites: {sorted(unknown)}")
+    if len(remotes) == 1:
+        return remote_links.get(next(iter(remotes)))
+    links = {
+        name: remote_links.get(name) or RemoteLink(site)
+        for name, site in remotes.items()
+    }
+    return FederationLink(
+        links,
+        sites.site_of,
+        parallel=parallel_fanout,
+        snapshot_ttl=snapshot_ttl,
+        site_ttls=site_ttls,
+    )

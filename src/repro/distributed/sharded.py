@@ -29,7 +29,10 @@ does exactly that while preserving the protocol's verdicts:
 The win is maintenance locality: an update's delta pass touches only
 its shard's materializations, so the summed per-shard maintenance work
 is strictly below one session maintaining everything (measured by
-``benchmarks/bench_sharded.py``).
+``benchmarks/bench_sharded.py``).  One shard is the serial checker: its
+session adopts the local site's database and runs the Section 1
+protocol — local tests first, remote data only when they are
+inconclusive — with no partitioning at all.
 
 With ``parallelism > 1`` the checker additionally converts shard
 independence into wall-clock overlap: updates whose constraint
@@ -61,9 +64,10 @@ from repro.core.session import (
     MATERIALIZATION_LIMIT,
     CheckSession,
     PendingVerdict,
+    aborts_transaction,
 )
+from repro.core.transaction import Transaction
 from repro.datalog.database import Database, UndoToken
-from repro.distributed.checker import resolve_escalation_link
 from repro.distributed.rebalance import (
     RebalancePlan,
     RebalancePolicy,
@@ -74,7 +78,7 @@ from repro.distributed.rebalance import (
     routing_values,
 )
 from repro.distributed.faults import CrashInjector
-from repro.distributed.remote import RemoteLink
+from repro.distributed.remote import RemoteLink, resolve_escalation_link
 from repro.distributed.site import FederatedDatabase
 from repro.distributed.stats import ProtocolStats, sync_session_gauges
 from repro.errors import RemoteUnavailableError, ReproError
@@ -231,17 +235,22 @@ class _StagedEffectLog:
 
 
 class ShardedChecker:
-    """Enforce constraints over a predicate-partitioned local site.
+    """Enforce constraints at the local site of a federated database.
 
-    The protocol-facing surface matches :class:`DistributedChecker`
-    (``process`` / ``check_stream`` / ``resolve_pending`` / ``stats``),
-    and the verdicts match a single unsharded
+    The one checker behind ``check-stream`` (``process`` /
+    ``check_stream`` / ``process_transaction`` / ``resolve_pending`` /
+    ``stats``).  Its verdicts match a single unsharded
     :class:`~repro.core.session.CheckSession` over the union database:
     shard-local constraints take the maintained-materialization path,
     spanning constraints read the lazily built union view at the same
     ``WITH_LOCAL_DATA`` level, and remote escalation (including DEFERRED
     degradation and the drain) behaves identically because sibling-shard
-    fetches can never fail.
+    fetches can never fail.  With ``shards=1`` that one session is the
+    whole checker: it works on the local site's own database and has no
+    union view and no fences.
+
+    Escalations go through the link :func:`resolve_escalation_link`
+    builds from *remote_links* (one entry per remote site name).
     """
 
     def __init__(
@@ -252,7 +261,6 @@ class ShardedChecker:
         partitioner: Optional[PredicatePartitioner] = None,
         use_interval_datalog: bool = False,
         apply_on_unknown: bool = True,
-        remote_link: Optional[RemoteLink] = None,
         max_materializations: Optional[int] = MATERIALIZATION_LIMIT,
         parallelism: int = 1,
         overlap_remote: bool = False,
@@ -284,7 +292,7 @@ class ShardedChecker:
                     "sessions cannot cross the process boundary"
                 )
         resolved = resolve_escalation_link(
-            sites, remote_link, remote_links,
+            sites, remote_links,
             parallel_fanout=parallel_fanout,
             snapshot_ttl=snapshot_ttl,
             site_ttls=site_ttls,
@@ -324,10 +332,17 @@ class ShardedChecker:
         #: ordered commit front for parallel/process journaling
         self._committer = None
 
-        self._shard_dbs = sites.local.partition(
-            self.partitioner.owner, self.shards
-        )
-        owned = self.partitioner.owned_predicates(self.site_predicates)
+        if self.shards == 1:
+            # The serial run: one session owns every site predicate and
+            # works on the site's own database — no partition copy, no
+            # sibling to fetch from, nothing to fence.
+            self._shard_dbs = [sites.local.unmetered()]
+            owned = [set(self.site_predicates)]
+        else:
+            self._shard_dbs = sites.local.partition(
+                self.partitioner.owner, self.shards
+            )
+            owned = self.partitioner.owned_predicates(self.site_predicates)
         self._owned = [frozenset(preds) for preds in owned]
         #: split predicates whose constraints confine every derivation
         #: to one key range — local to *every* shard, never fencing
@@ -384,7 +399,9 @@ class ShardedChecker:
                     peer_predicates=(
                         self.site_predicates - owned[index] - self.key_aligned
                     ),
-                    peer_source=self._peer_source(index),
+                    peer_source=(
+                        self._peer_source(index) if self.shards > 1 else None
+                    ),
                     seq_source=(lambda cell=self._seq_cells[index]: cell[0]),
                 )
                 for index in range(self.shards)
@@ -478,7 +495,11 @@ class ShardedChecker:
         updated.  A modification that moves a fact between shards has no
         single owner; :meth:`process` and :meth:`check_stream` decompose
         it into its delete/insert halves instead (this method still
-        raises, for callers that need one index)."""
+        raises, for callers that need one index).  A one-shard checker
+        has nothing to keep disjoint: every update goes to its session,
+        without asking the partitioner."""
+        if self.shards == 1:
+            return 0
         predicate = update.predicate
         if predicate not in self.site_predicates:
             raise ValueError(
@@ -500,7 +521,7 @@ class ShardedChecker:
     def _cross_shard_modification(self, update: Update) -> Optional[tuple[int, int]]:
         """``(delete_shard, insert_shard)`` when *update* is a
         modification whose halves land in different shards, else None."""
-        if not isinstance(update, Modification):
+        if self.shards == 1 or not isinstance(update, Modification):
             return None
         predicate = update.predicate
         if predicate not in self.site_predicates:
@@ -644,13 +665,15 @@ class ShardedChecker:
         shard: int,
         update: Update,
         journal_pos: Optional[int] = None,
+        txns: Optional[list[Transaction]] = None,
     ) -> list[CheckReport]:
         """Stamp the shard's arrival cell and run one update through its
         session (main-thread path; workers go through
         :meth:`_run_shard_slice`).  *journal_pos* is the stream position
         the update's journal record commits under when a parallel-mode
         journal is attached (``None`` routes through the positionless
-        fallback)."""
+        fallback).  *txns* holds one open transaction per shard (see
+        :meth:`process_transaction`)."""
         if self._procpool is not None:
             return self._procpool.run_one(shard, update, journal_pos=journal_pos)
         session = self.sessions[shard]
@@ -660,7 +683,12 @@ class ShardedChecker:
             session.effect_log.begin_slice((journal_pos,))
         self._seq_cells[shard][0] = next(self._arrival)
         before = session.stats.remote_fetches
-        reports = session.process(update, remote=self.remote_source)
+        if txns is None:
+            reports = session.process(update, remote=self.remote_source)
+        else:
+            reports = session.process(
+                update, remote=self._drain_source, transaction=txns[shard]
+            )
         self.stats.remote_round_trips += (
             session.stats.remote_fetches - before
         )
@@ -673,11 +701,18 @@ class ShardedChecker:
             return self._procpool.contains(shard, predicate, values)
         return values in self._shard_dbs[shard].facts(predicate)
 
-    def _backend_apply_unchecked(self, shard: int, update: Update) -> None:
+    def _backend_apply_unchecked(
+        self,
+        shard: int,
+        update: Update,
+        txns: Optional[list[Transaction]] = None,
+    ) -> None:
         if self._procpool is not None:
             self._procpool.apply_unchecked(shard, update)
         else:
-            self.sessions[shard].apply_unchecked(update)
+            self.sessions[shard].apply_unchecked(
+                update, txns[shard] if txns is not None else None
+            )
 
     def process(self, update: Update) -> list[CheckReport]:
         """Route one update to its shard and run the level pipeline.
@@ -689,18 +724,72 @@ class ShardedChecker:
         if self._rebalance_due:
             # process() is synchronous: between calls *is* a fence.
             self.maybe_rebalance()
-        if self._cross_shard_modification(update) is not None:
-            reports = self._process_split_modification(update)
-        else:
-            shard = self.shard_of(update)
-            self._observe(shard, update)
-            reports = self._process_on_shard(shard, update)
-            self.stats.updates += 1
-            self.stats.record_reports(reports, self.apply_on_unknown)
+        reports = self._process_routed(update)
         self._sync_gauges()
         return reports
 
-    def _process_split_modification(self, update: Update) -> list[CheckReport]:
+    def _process_routed(
+        self, update: Update, txns: Optional[list[Transaction]] = None
+    ) -> list[CheckReport]:
+        """Run *update* on its shard, or as the two halves of a
+        cross-shard modification, and fold its reports into the stats."""
+        if self._cross_shard_modification(update) is not None:
+            return self._process_split_modification(update, txns)
+        shard = self.shard_of(update)
+        self._observe(shard, update)
+        reports = self._process_on_shard(shard, update, txns=txns)
+        self.stats.updates += 1
+        self.stats.record_reports(reports, self.apply_on_unknown)
+        return reports
+
+    def process_transaction(
+        self, updates: Iterable[Update]
+    ) -> tuple[bool, list[list[CheckReport]]]:
+        """Process a sequence of updates atomically.
+
+        Each update is routed as :meth:`process` routes it and checked
+        against the state its predecessors left, inside one
+        :meth:`CheckSession.transaction` per shard.  A transaction needs
+        settled verdicts, so escalations fetch through the blocking link,
+        never the async queue.  If any update aborts the transaction
+        (:func:`~repro.core.session.aborts_transaction`), every shard's
+        transaction rolls back, restoring each slice and its maintained
+        materializations exactly.  The slices are disjoint, so the
+        per-shard rollbacks add up to the global one.  Rebalancing waits
+        until the transaction ends.
+
+        Returns ``(committed, reports_per_update)``; processing stops at
+        the aborting update.  The process executor is refused: its
+        worker processes hold the shard state.
+        """
+        if self._procpool is not None:
+            raise ValueError(
+                "transactions need the thread executor: the worker "
+                "processes hold the shard state"
+            )
+        self.stats.transactions += 1
+        txns = [session.transaction() for session in self.sessions]
+        all_reports: list[list[CheckReport]] = []
+        committed = True
+        for update in updates:
+            reports = self._process_routed(update, txns)
+            all_reports.append(reports)
+            if aborts_transaction(reports, self.apply_on_unknown):
+                committed = False
+                break
+        for txn in txns:
+            if committed:
+                txn.commit()
+            else:
+                txn.rollback()
+        if not committed:
+            self.stats.transactions_rolled_back += 1
+        self._sync_gauges()
+        return committed, all_reports
+
+    def _process_split_modification(
+        self, update: Update, txns: Optional[list[Transaction]] = None
+    ) -> list[CheckReport]:
         """Run a cross-shard modification as delete(old) then insert(new).
 
         The delete half runs first on the old fact's shard; if it is
@@ -730,7 +819,7 @@ class ShardedChecker:
 
         self.stats.updates += 1
         self.stats.cross_shard_modifications += 1
-        del_reports = self._process_on_shard(del_shard, deletion)
+        del_reports = self._process_on_shard(del_shard, deletion, txns=txns)
         del_rejected = any(
             r.outcome is Outcome.VIOLATED for r in del_reports
         )
@@ -745,13 +834,13 @@ class ShardedChecker:
             for r in del_reports
         )
 
-        ins_reports = self._process_on_shard(ins_shard, insertion)
+        ins_reports = self._process_on_shard(ins_shard, insertion, txns=txns)
         ins_rejected = any(
             r.outcome is Outcome.VIOLATED for r in ins_reports
         )
         if ins_rejected and was_present and not (del_deferred or del_held):
             self._backend_apply_unchecked(
-                del_shard, Insertion(predicate, update.old_values)
+                del_shard, Insertion(predicate, update.old_values), txns
             )
 
         merged: dict[str, CheckReport] = {r.constraint_name: r for r in del_reports}
@@ -773,15 +862,19 @@ class ShardedChecker:
     ) -> list[list[CheckReport]]:
         """Stream mode over the shards.
 
-        Consecutive updates owned by the same shard form a run handed to
-        that shard's :meth:`CheckSession.process_stream` — with a
-        *batch_size*, coalesced maintenance batching (including the
-        panic probe and exact replay) runs per shard.  A shard switch
-        flushes the run first, so by the time a sibling's spanning check
-        materializes the union view every earlier delta has already
-        reached its slice (batched deltas hit the database eagerly);
-        verdicts therefore match global per-update processing.
-        Cross-shard modifications flush the run and decompose.
+        Without a *batch_size* every update runs as :meth:`process` runs
+        it, and its reports are folded into the stats before the next
+        update starts (a journal checkpoint cut inside one update then
+        misses only that update's stats).  With a *batch_size*,
+        consecutive updates owned by the same shard form a run handed to
+        that shard's :meth:`CheckSession.process_stream`, so coalesced
+        maintenance batching (including the panic probe and exact
+        replay) runs per shard.  A shard switch flushes the run first,
+        so by the time a sibling's spanning check materializes the union
+        view every earlier delta has already reached its slice (batched
+        deltas hit the database eagerly); verdicts therefore match
+        global per-update processing.  Cross-shard modifications flush
+        the run and decompose.
 
         With ``parallelism > 1`` — or the process executor, whose
         parallelism lives in the worker pool itself — the stream runs on
@@ -830,6 +923,9 @@ class ShardedChecker:
                 flush()
                 run_shard = None
                 self.maybe_rebalance()
+            if not batch_size:
+                results.append(self._process_routed(update))
+                continue
             if self._cross_shard_modification(update) is not None:
                 flush()
                 run_shard = None

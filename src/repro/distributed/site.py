@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Mapping
 
 from repro.datalog.database import Database
 
-__all__ = ["AccessStats", "Site", "FederatedDatabase", "TwoSiteDatabase"]
+__all__ = ["AccessStats", "Site", "FederatedDatabase"]
 
 
 @dataclass
@@ -254,20 +254,3 @@ class FederatedDatabase:
             f"remotes={list(self.remotes)!r})"
         )
 
-
-class TwoSiteDatabase(FederatedDatabase):
-    """The N=2 special case: one local site, one remote site.
-
-    A thin shim over :class:`FederatedDatabase` preserving the original
-    two-site surface (``.remote``); everything downstream that only ever
-    talks to "the" remote keeps working unchanged.
-    """
-
-    def __init__(
-        self,
-        local: Site,
-        remote: Site,
-        local_predicates: Iterable[str] | None = None,
-    ) -> None:
-        super().__init__(local, [remote], local_predicates=local_predicates)
-        self.remote = remote

@@ -1,11 +1,11 @@
-"""Protocol statistics shared by the distributed checkers.
+"""Protocol statistics of the distributed checker.
 
-:class:`ProtocolStats` is the one counter surface both
-:class:`~repro.distributed.checker.DistributedChecker` and
-:class:`~repro.distributed.sharded.ShardedChecker` report through, and
+:class:`ProtocolStats` is the counter surface
+:class:`~repro.distributed.sharded.ShardedChecker` reports through, and
 :func:`sync_session_gauges` is the one place the cumulative session /
-compiler / link gauges get mirrored into it — extracted here so the two
-checkers cannot drift apart in how they fold the same numbers.
+compiler / link gauges get mirrored into it.  Journal recovery folds
+journalled verdicts through the same :meth:`ProtocolStats.record_reports`
+the live checker uses.
 """
 
 from __future__ import annotations
@@ -169,8 +169,8 @@ class ProtocolStats:
         self, reports: list[CheckReport], apply_on_unknown: bool = True
     ) -> None:
         """Fold one update's final reports into the counters (shared by
-        :class:`~repro.distributed.checker.DistributedChecker` and
-        :class:`~repro.distributed.sharded.ShardedChecker`)."""
+        :class:`~repro.distributed.sharded.ShardedChecker` and journal
+        recovery)."""
         if any(report.outcome is Outcome.VIOLATED for report in reports):
             self.rejected += 1
         elif any(report.outcome is Outcome.DEFERRED for report in reports):
@@ -216,11 +216,9 @@ def sync_session_gauges(
 ) -> None:
     """Mirror the cumulative session/compiler/link gauges into *stats*.
 
-    Session gauges are *summed* across the given sessions — a single
-    session for :class:`~repro.distributed.checker.DistributedChecker`,
-    one per shard for
-    :class:`~repro.distributed.sharded.ShardedChecker`; they are
-    cumulative gauges, not per-call increments, so the copy is a
+    Session gauges are *summed* across the given sessions — one per
+    shard of a :class:`~repro.distributed.sharded.ShardedChecker`; they
+    are cumulative gauges, not per-call increments, so the copy is a
     wholesale overwrite.  *remote_link* may be a single
     :class:`~repro.distributed.remote.RemoteLink` or a
     :class:`~repro.distributed.remote.FederationLink` — both expose a

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.datalog.database import Database
-from repro.distributed.site import FederatedDatabase, Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase, Site
 from repro.updates.update import Deletion, Insertion, Update
 
 __all__ = [
@@ -104,9 +104,11 @@ def interval_workload(
             hi = lo + rng.randrange(1, 50)
             updates.append(Insertion("cleared", (lo, hi)))
 
-    sites = TwoSiteDatabase(
+    sites = FederatedDatabase(
         local=Site("local", {"cleared": intervals}),
-        remote=Site("remote", {"reading": readings}, cost_per_read=remote_cost),
+        remotes=[
+            Site("remote", {"reading": readings}, cost_per_read=remote_cost)
+        ],
     )
     return Workload(
         name="forbidden-intervals",
@@ -163,16 +165,18 @@ def employee_workload(
             salary = rng.randrange(0, 200)
             updates.append(Insertion("emp", (name, dept, salary)))
 
-    sites = TwoSiteDatabase(
+    sites = FederatedDatabase(
         local=Site("local", {"emp": employees}),
-        remote=Site(
-            "remote",
-            {
-                "closedDept": [(d,) for d in closed],
-                "salFloor": [(d, f) for d, f in floors.items()],
-            },
-            cost_per_read=remote_cost,
-        ),
+        remotes=[
+            Site(
+                "remote",
+                {
+                    "closedDept": [(d,) for d in closed],
+                    "salFloor": [(d, f) for d, f in floors.items()],
+                },
+                cost_per_read=remote_cost,
+            )
+        ],
     )
     constraints = ConstraintSet(
         [
@@ -404,11 +408,11 @@ def bursty_workload(
             updates.append(Insertion("meter", fact))
             _track(fact)
 
-    sites = TwoSiteDatabase(
+    sites = FederatedDatabase(
         local=Site("local", {"meter": readings}),
-        remote=Site(
-            "remote", {"capLimit": [(cap,)]}, cost_per_read=remote_cost
-        ),
+        remotes=[
+            Site("remote", {"capLimit": [(cap,)]}, cost_per_read=remote_cost)
+        ],
     )
     constraint = Constraint(
         "panic :- meter(K,V) & capLimit(C) & V > C", "reading-within-cap"

@@ -2,8 +2,8 @@
 
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core.engine import PartialInfoChecker
-from repro.distributed.checker import DistributedChecker
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.sharded import ShardedChecker
+from repro.distributed.site import FederatedDatabase, Site
 from repro.updates.update import Insertion, Modification
 
 
@@ -68,11 +68,11 @@ class TestTransactions:
         constraint = Constraint(
             "panic :- cleared(X,Y) & reading(Z) & X <= Z & Z <= Y", "fi"
         )
-        sites = TwoSiteDatabase(
+        sites = FederatedDatabase(
             local=Site("local", {"cleared": [(0, 10)]}),
-            remote=Site("remote", {"reading": [(50,)]}, cost_per_read=1.0),
+            remotes=[Site("remote", {"reading": [(50,)]}, cost_per_read=1.0)],
         )
-        return DistributedChecker(ConstraintSet([constraint]), sites)
+        return ShardedChecker(ConstraintSet([constraint]), sites, shards=1)
 
     def test_commit(self):
         checker = self.build()

@@ -21,7 +21,6 @@ from repro.distributed.faults import (
 from repro.distributed.rebalance import RebalancePolicy
 from repro.distributed.remote import FetchPolicy, RemoteLink
 from repro.distributed.sharded import KeyRangePartitioner, ShardedChecker
-from repro.distributed.site import Site, TwoSiteDatabase
 from repro.errors import InjectedCrash, ReproError
 from repro.updates.update import Insertion
 
@@ -142,7 +141,7 @@ class TestShardedCheckerChaos:
         )
         injector = CrashInjector([CrashPoint("mid-drain")])
         checker = ShardedChecker(
-            HOT_CONSTRAINTS, sites, shards=2, remote_link=link,
+            HOT_CONSTRAINTS, sites, shards=2, remote_links={"remote": link},
             chaos=injector,
         )
         with checker:

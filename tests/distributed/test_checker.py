@@ -1,9 +1,12 @@
-"""Distributed protocol tests: escalation, accounting, enforcement."""
+"""Distributed protocol tests: escalation, accounting, enforcement.
+
+The serial checker is the one-shard :class:`ShardedChecker`.
+"""
 
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core.outcomes import CheckLevel, Outcome
-from repro.distributed.checker import DistributedChecker
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.sharded import ShardedChecker
+from repro.distributed.site import FederatedDatabase, Site
 from repro.updates.update import Insertion
 
 
@@ -11,11 +14,13 @@ def build_checker(readings=((100,),), intervals=((3, 6),)):
     constraint = Constraint(
         "panic :- cleared(X,Y) & reading(Z) & X <= Z & Z <= Y", "no-reading"
     )
-    sites = TwoSiteDatabase(
+    sites = FederatedDatabase(
         local=Site("local", {"cleared": list(intervals)}),
-        remote=Site("remote", {"reading": list(readings)}, cost_per_read=1.0),
+        remotes=[
+            Site("remote", {"reading": list(readings)}, cost_per_read=1.0)
+        ],
     )
-    return DistributedChecker(ConstraintSet([constraint]), sites)
+    return ShardedChecker(ConstraintSet([constraint]), sites, shards=1)
 
 
 class TestProtocol:
@@ -23,7 +28,7 @@ class TestProtocol:
         checker = build_checker()
         reports = checker.process(Insertion("cleared", (4, 5)))
         assert all(r.outcome is Outcome.SATISFIED for r in reports)
-        assert checker.sites.remote.stats.reads == 0
+        assert checker.sites.remotes["remote"].stats.reads == 0
         assert checker.stats.remote_round_trips == 0
         assert checker.stats.resolved_at_level[CheckLevel.WITH_LOCAL_DATA] == 1
 
@@ -49,7 +54,9 @@ class TestProtocol:
 
     def test_apply_when_safe_false_leaves_db(self):
         checker = build_checker()
-        checker.process(Insertion("cleared", (4, 5)), apply_when_safe=False)
+        checker.sessions[0].check(
+            Insertion("cleared", (4, 5)), remote=checker.remote_source
+        )
         assert (4, 5) not in checker.sites.local.unmetered().facts("cleared")
 
     def test_stats_accumulate(self):
@@ -64,7 +71,7 @@ class TestProtocol:
 
     def test_invariant_maintained_across_stream(self):
         checker = build_checker(readings=[(45,), (200,)])
-        constraint = checker.checker.constraints[0]
+        constraint = checker.constraints[0]
         stream = [
             Insertion("cleared", (4, 5)),
             Insertion("cleared", (40, 50)),   # would cover reading 45: reject

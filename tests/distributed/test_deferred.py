@@ -13,10 +13,10 @@ from repro.core.outcomes import CheckLevel, Outcome
 from repro.core.session import CheckSession
 from repro.core.compiler import ConstraintCompiler
 from repro.datalog.database import Database
-from repro.distributed.checker import DistributedChecker
 from repro.distributed.faults import FaultModel, UnreliableRemote
 from repro.distributed.remote import BreakerState, FetchPolicy, RemoteLink
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.sharded import ShardedChecker
+from repro.distributed.site import FederatedDatabase, Site
 from repro.distributed.workload import employee_workload
 from repro.errors import RemoteUnavailableError
 from repro.updates.update import Insertion
@@ -31,12 +31,14 @@ CONSTRAINTS = ConstraintSet(
 
 
 def build_sites():
-    return TwoSiteDatabase(
+    return FederatedDatabase(
         local=Site("local", {"emp": [("ann", "toys", 50)]}),
-        remote=Site(
-            "remote",
-            {"closedDept": [("mines",)], "salFloor": [("toys", 40), ("mines", 10)]},
-        ),
+        remotes=[
+            Site(
+                "remote",
+                {"closedDept": [("mines",)], "salFloor": [("toys", 40), ("mines", 10)]},
+            )
+        ],
     )
 
 
@@ -49,10 +51,12 @@ def build_checker(apply_on_unknown=True, down=True, **policy_kwargs):
     policy_kwargs.setdefault("failure_threshold", 4)
     policy_kwargs.setdefault("cooldown_fetches", 1)
     link = RemoteLink(
-        UnreliableRemote(sites.remote, faults), FetchPolicy(**policy_kwargs)
+        UnreliableRemote(sites.remotes["remote"], faults),
+        FetchPolicy(**policy_kwargs),
     )
-    checker = DistributedChecker(
-        CONSTRAINTS, sites, apply_on_unknown=apply_on_unknown, remote_link=link
+    checker = ShardedChecker(
+        CONSTRAINTS, sites, shards=1, apply_on_unknown=apply_on_unknown,
+        remote_links={"remote": link},
     )
     return checker, link
 
@@ -261,14 +265,21 @@ class TestCheckerDeferral:
 
     def test_check_stream_rejects_batch_with_transaction(self):
         checker, _ = build_checker(down=False)
-        txn = checker.session.transaction()
+        (session,) = checker.sessions
         with pytest.raises(ValueError, match="batch_size and transaction"):
-            checker.check_stream([LOCAL_SAFE], batch_size=4, transaction=txn)
+            session.process_stream(
+                [LOCAL_SAFE], batch_size=4, transaction=session.transaction()
+            )
 
     def test_check_stream_transaction_plumbed_through(self):
         checker, _ = build_checker(down=False)
-        txn = checker.session.transaction()
-        checker.check_stream([LOCAL_SAFE, ESCALATES_SAFE], transaction=txn)
+        (session,) = checker.sessions
+        txn = session.transaction()
+        session.process_stream(
+            [LOCAL_SAFE, ESCALATES_SAFE],
+            remote=checker.remote_source,
+            transaction=txn,
+        )
         local = checker.sites.local.unmetered()
         assert LOCAL_SAFE.values in local.facts("emp")
         txn.rollback()
@@ -291,12 +302,12 @@ class TestFaultFreeEquivalence:
         )
         faults = FaultModel(failure_rate=fault_rate, outages=outages, seed=5)
         link = RemoteLink(
-            UnreliableRemote(workload.sites.remote, faults),
+            UnreliableRemote(workload.sites.remotes["remote"], faults),
             FetchPolicy(max_attempts=2, failure_threshold=3, cooldown_fetches=2),
         )
-        checker = DistributedChecker(
-            workload.constraints, workload.sites,
-            apply_on_unknown=False, remote_link=link,
+        checker = ShardedChecker(
+            workload.constraints, workload.sites, shards=1,
+            apply_on_unknown=False, remote_links={"remote": link},
         )
         checker.check_stream(workload.updates)
         heal(link)

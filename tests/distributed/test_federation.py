@@ -1,10 +1,10 @@
 """N-site federation tests: topology, fan-out link, site-need
-classification, partial-recovery drain, and N=2 legacy equivalence.
+classification, partial-recovery drain, and N=2 link equivalence.
 
 The refactor's contract has three legs:
 
-* :class:`FederatedDatabase` generalizes the two-site model — the
-  :class:`TwoSiteDatabase` shim must behave exactly as before;
+* :class:`FederatedDatabase` generalizes the two-site model (one local
+  site, one remote);
 * :class:`FederationLink` fans an escalation out across per-site links,
   attributes partial failures to the sites that caused them, and (when
   enabled) serves repeat escalations from a bounded-staleness snapshot
@@ -20,10 +20,6 @@ from hypothesis import given, settings, strategies as st
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core.compiler import ConstraintCompiler
 from repro.core.outcomes import Outcome
-from repro.distributed.checker import (
-    DistributedChecker,
-    resolve_escalation_link,
-)
 from repro.distributed.faults import FaultModel, UnreliableRemote
 from repro.distributed.remote import (
     BreakerState,
@@ -31,9 +27,10 @@ from repro.distributed.remote import (
     FetchPolicy,
     RemoteFetchInFlight,
     RemoteLink,
+    resolve_escalation_link,
 )
 from repro.distributed.sharded import ShardedChecker
-from repro.distributed.site import FederatedDatabase, Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase, Site
 from repro.distributed.workload import federated_workload
 from repro.errors import RemoteUnavailableError
 from repro.updates.update import Insertion
@@ -56,13 +53,10 @@ def drain(checker, rounds=100):
     return settled
 
 
-def local_state(sites, checker=None):
-    """The final local contents — the shard union in sharded mode, the
-    local site otherwise (non-empty relations only, order-normalized)."""
-    if checker is not None and hasattr(checker, "local_database"):
-        contents = checker.local_database()
-    else:
-        contents = sites.local.unmetered()
+def local_state(checker):
+    """The final local contents — the union of the shard slices
+    (non-empty relations only, order-normalized)."""
+    contents = checker.local_database()
     return {
         predicate: sorted(contents.facts(predicate), key=repr)
         for predicate in sorted(contents.predicates())
@@ -122,17 +116,6 @@ class TestFederatedDatabase:
         assert merged.facts("emp")
         assert merged.facts("closedDept")
         assert merged.facts("salFloor")
-
-    def test_two_site_shim(self):
-        sites = TwoSiteDatabase(
-            local=Site("local", {"emp": [("a", "d", 1)]}),
-            remote=Site("remote", {"closedDept": [("x",)]}),
-        )
-        assert isinstance(sites, FederatedDatabase)
-        assert sites.remote is sites.remotes["remote"]
-        assert sites.site_names == ("remote",)
-        assert sites.site_of("closedDept") == "remote"
-        assert sites.site_of("emp") is None
 
 
 class TestSiteNeedClassification:
@@ -335,13 +318,13 @@ class TestFederationLink:
 
 class TestResolveEscalationLink:
     def test_single_remote_preserves_the_scalar_link(self):
-        sites = TwoSiteDatabase(
+        sites = FederatedDatabase(
             local=Site("local", {"emp": []}),
-            remote=Site("remote", {"closedDept": []}),
+            remotes=[Site("remote", {"closedDept": []})],
         )
-        link = RemoteLink(sites.remote)
-        assert resolve_escalation_link(sites, remote_link=link) is link
+        link = RemoteLink(sites.remotes["remote"])
         assert resolve_escalation_link(sites) is None
+        assert resolve_escalation_link(sites, remote_links={}) is None
         assert resolve_escalation_link(
             sites, remote_links={"remote": link}
         ) is link
@@ -351,11 +334,6 @@ class TestResolveEscalationLink:
         resolved = resolve_escalation_link(fed)
         assert isinstance(resolved, FederationLink)
         assert set(resolved.links) == {"r1", "r2"}
-
-    def test_multi_remote_rejects_scalar_link(self):
-        fed, link = make_federation()
-        with pytest.raises(ValueError):
-            resolve_escalation_link(fed, remote_link=link.links["r1"])
 
     def test_unknown_remote_links_rejected(self):
         fed, _ = make_federation()
@@ -400,10 +378,9 @@ def build_family_checker(sharded=False, pessimistic=True, down=("sA", "sB")):
         apply_on_unknown=not pessimistic,
         remote_links=links,
     )
-    if sharded:
-        checker = ShardedChecker(FAMILY_CONSTRAINTS, fed, shards=2, **kwargs)
-    else:
-        checker = DistributedChecker(FAMILY_CONSTRAINTS, fed, **kwargs)
+    checker = ShardedChecker(
+        FAMILY_CONSTRAINTS, fed, shards=2 if sharded else 1, **kwargs
+    )
     return checker, checker.remote_link, fed
 
 
@@ -447,7 +424,7 @@ class TestPartialRecoveryDrain:
         heal(link.links["sA"])
         drain(checker)
         assert checker.pending_count == 0
-        assert local_state(fed, checker) == self.expected_final_state(sharded)
+        assert local_state(checker) == self.expected_final_state(sharded)
 
     def test_matches_fault_free_run(self, sharded):
         checker, _, fed = build_family_checker(sharded=sharded, down=())
@@ -459,7 +436,7 @@ class TestPartialRecoveryDrain:
         drain(faulted)
         heal(link.links["sA"])
         drain(faulted)
-        assert local_state(faulted_fed, faulted) == local_state(fed, checker)
+        assert local_state(faulted) == local_state(checker)
 
     @staticmethod
     def expected_final_state(sharded):
@@ -481,8 +458,8 @@ class TestFederatedVerdictEquivalence:
         workload = federated_workload(
             remote_sites=3, num_updates=40, initial_employees=60, seed=7
         )
-        fed_checker = DistributedChecker(
-            workload.constraints, workload.sites
+        fed_checker = ShardedChecker(
+            workload.constraints, workload.sites, shards=1
         )
         fed_results = fed_checker.check_stream(list(workload.updates))
 
@@ -493,12 +470,12 @@ class TestFederatedVerdictEquivalence:
                 merged_tables.setdefault(predicate, []).extend(
                     contents.facts(predicate)
                 )
-        merged = TwoSiteDatabase(
+        merged = FederatedDatabase(
             local=Site("local", workload.sites.local.unmetered()
                        .restricted_to({"emp"})),
-            remote=Site("remote", merged_tables),
+            remotes=[Site("remote", merged_tables)],
         )
-        merged_checker = DistributedChecker(workload.constraints, merged)
+        merged_checker = ShardedChecker(workload.constraints, merged, shards=1)
         merged_results = merged_checker.check_stream(list(workload.updates))
 
         assert [
@@ -508,10 +485,10 @@ class TestFederatedVerdictEquivalence:
             sorted((r.constraint_name, r.outcome) for r in reports)
             for reports in merged_results
         ]
-        assert local_state(workload.sites, fed_checker) == local_state(merged, merged_checker)
+        assert local_state(fed_checker) == local_state(merged_checker)
 
 
-# -- N=2 equivalence property: federation vs the legacy scalar link --------------
+# -- N=2 equivalence property: a one-site federation link vs a plain link --------
 
 N2_CONSTRAINTS = ConstraintSet(
     [
@@ -539,17 +516,19 @@ def n2_updates(seed):
 
 def n2_build(federated, fault_rate, seed, shards, parallelism, overlap,
              pessimistic):
-    sites = TwoSiteDatabase(
+    sites = FederatedDatabase(
         local=Site("local", {"emp": [("ann", "toys", 50)]}),
-        remote=Site(
-            "remote",
-            {"closedDept": [("mines",)],
-             "salFloor": [("toys", 40), ("mines", 10)]},
-        ),
+        remotes=[
+            Site(
+                "remote",
+                {"closedDept": [("mines",)],
+                 "salFloor": [("toys", 40), ("mines", 10)]},
+            )
+        ],
     )
     scalar = RemoteLink(
-        UnreliableRemote(sites.remote, FaultModel(failure_rate=fault_rate,
-                                                  seed=seed)),
+        UnreliableRemote(sites.remotes["remote"],
+                         FaultModel(failure_rate=fault_rate, seed=seed)),
         FetchPolicy(max_attempts=2, failure_threshold=3, cooldown_fetches=1),
         seed=seed,
     )
@@ -558,24 +537,20 @@ def n2_build(federated, fault_rate, seed, shards, parallelism, overlap,
         if federated
         else scalar
     )
-    kwargs = dict(
+    # A single remote's entry is used as-is, so the one-site
+    # FederationLink really is what the checker escalates through.
+    checker = ShardedChecker(
+        N2_CONSTRAINTS, sites, shards=shards, parallelism=parallelism,
         apply_on_unknown=not pessimistic,
-        remote_link=link,
+        remote_links={"remote": link},
         overlap_remote=overlap,
     )
-    if shards:
-        checker = ShardedChecker(
-            N2_CONSTRAINTS, sites, shards=shards,
-            parallelism=parallelism, **kwargs
-        )
-    else:
-        checker = DistributedChecker(N2_CONSTRAINTS, sites, **kwargs)
-    return checker, link, sites
+    return checker, link
 
 
 def n2_run(federated, fault_rate, seed, shards, parallelism, overlap,
            pessimistic):
-    checker, link, sites = n2_build(
+    checker, link = n2_build(
         federated, fault_rate, seed, shards, parallelism, overlap,
         pessimistic,
     )
@@ -592,18 +567,22 @@ def n2_run(federated, fault_rate, seed, shards, parallelism, overlap,
                                  for r in reports))
             for update, reports in settled
         ),
-        local_state(sites, checker),
+        local_state(checker),
         checker.stats,
     )
 
 
 class TestLegacyEquivalence:
+    """The classic two-site path — one plain :class:`RemoteLink` — and a
+    one-site :class:`FederationLink` over the same link are
+    indistinguishable."""
+
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         fault_rate=st.sampled_from([0.0, 0.4, 1.0]),
         pessimistic=st.booleans(),
-        shards=st.sampled_from([0, 2]),
+        shards=st.sampled_from([1, 2]),
         parallelism=st.sampled_from([1, 2]),
         overlap=st.booleans(),
     )
@@ -614,7 +593,7 @@ class TestLegacyEquivalence:
         # cases stick to the deterministic synchronous schedule
         if fault_rate:
             parallelism, overlap = 1, False
-        legacy = n2_run(
+        plain = n2_run(
             False, fault_rate, seed, shards, parallelism, overlap,
             pessimistic,
         )
@@ -622,7 +601,7 @@ class TestLegacyEquivalence:
             True, fault_rate, seed, shards, parallelism, overlap,
             pessimistic,
         )
-        assert federated[0] == legacy[0]  # stream verdicts
-        assert federated[1] == legacy[1]  # drained verdicts
-        assert federated[2] == legacy[2]  # final local state
-        assert federated[3] == legacy[3]  # full ProtocolStats
+        assert federated[0] == plain[0]  # stream verdicts
+        assert federated[1] == plain[1]  # drained verdicts
+        assert federated[2] == plain[2]  # final local state
+        assert federated[3] == plain[3]  # full ProtocolStats

@@ -21,7 +21,6 @@ import pytest
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core.outcomes import CheckLevel, Outcome
 from repro.core.session import CheckSession
-from repro.distributed.checker import DistributedChecker
 from repro.distributed.remote import (
     FetchPolicy,
     RemoteFetchInFlight,
@@ -32,7 +31,7 @@ from repro.distributed.sharded import (
     PredicatePartitioner,
     ShardedChecker,
 )
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase, Site
 from repro.errors import RemoteUnavailableError
 from repro.updates.update import Deletion, Insertion, Modification
 
@@ -75,9 +74,9 @@ KEY_LOCAL = {"hot", "b"}
 
 
 def make_sites(local_predicates=LOCAL):
-    return TwoSiteDatabase(
+    return FederatedDatabase(
         local=Site("local", {pred: [] for pred in local_predicates}),
-        remote=Site("remote", {"rem": [(99,), (3,)]}),
+        remotes=[Site("remote", {"rem": [(99,), (3,)]})],
         local_predicates=local_predicates,
     )
 
@@ -159,7 +158,9 @@ class TestConstruction:
         with pytest.raises(ValueError, match="overlap_remote"):
             ShardedChecker(CONSTRAINTS, make_sites(), overlap_remote=True)
         with pytest.raises(ValueError, match="overlap_remote"):
-            DistributedChecker(CONSTRAINTS, make_sites(), overlap_remote=True)
+            ShardedChecker(
+                CONSTRAINTS, make_sites(), shards=1, overlap_remote=True
+            )
 
     def test_async_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="async_workers"):
@@ -277,7 +278,7 @@ class TestKeyAlignedSplit:
             KEY_CONSTRAINTS, KEY_LOCAL, local_db=sites.local.unmetered()
         )
         expected = [
-            verdict_key(session.process(u, remote=sites.remote.snapshot))
+            verdict_key(session.process(u, remote=sites.remotes["remote"].snapshot))
             for u in updates
         ]
         checker = self.make_checker()
@@ -480,16 +481,12 @@ class TestOverlappedEscalation:
     drain settles from the future only once it has completed."""
 
     def make_checker(self, remote, **link_kwargs):
-        sites = TwoSiteDatabase(
-            local=Site("local", {pred: [] for pred in LOCAL}),
-            remote=Site("remote", {"rem": [(99,), (3,)]}),
-            local_predicates=LOCAL,
-        )
-        wrapped = remote(sites.remote)
+        sites = make_sites()
+        wrapped = remote(sites.remotes["remote"])
         link = RemoteLink(wrapped, **link_kwargs)
         checker = ShardedChecker(
             CONSTRAINTS, sites, shards=2,
-            remote_link=link, overlap_remote=True,
+            remote_links={"remote": link}, overlap_remote=True,
         )
         return checker, link, wrapped
 
@@ -590,20 +587,17 @@ class TestOverlappedEscalation:
         ]
 
         def run(overlap):
-            sites = TwoSiteDatabase(
-                local=Site("local", {pred: [] for pred in LOCAL}),
-                remote=Site("remote", {"rem": [(99,), (3,)]}),
-                local_predicates=LOCAL,
-            )
-            link = RemoteLink(sites.remote)
-            checker = DistributedChecker(
-                CONSTRAINTS, sites, remote_link=link, overlap_remote=overlap
+            sites = make_sites()
+            link = RemoteLink(sites.remotes["remote"])
+            checker = ShardedChecker(
+                CONSTRAINTS, sites, shards=1,
+                remote_links={"remote": link}, overlap_remote=overlap,
             )
             in_stream = checker.check_stream(stream)
             link.wait_inflight(timeout=10.0)
             settled = checker.resolve_pending()
             link.close()
-            return in_stream, settled, db_state(sites.local.unmetered())
+            return in_stream, settled, db_state(checker.local_database())
 
         blocking_stream, blocking_settled, blocking_db = run(False)
         overlap_stream, overlap_settled, overlap_db = run(True)

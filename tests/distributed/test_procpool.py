@@ -82,10 +82,12 @@ class TestExecutorValidation:
             serial_checker(executor="fiber")
 
     def test_overlap_remote_needs_threads(self):
-        link = RemoteLink(make_sites().remote)
+        link = RemoteLink(make_sites().remotes["remote"])
         try:
             with pytest.raises(ValueError, match="process boundary"):
-                process_checker(remote_link=link, overlap_remote=True)
+                process_checker(
+                    remote_links={"remote": link}, overlap_remote=True
+                )
         finally:
             link.close()
 
@@ -157,7 +159,7 @@ class TestProcessEquivalence:
             remote, FetchPolicy(max_attempts=1, failure_threshold=10**9)
         )
         checker = ShardedChecker(
-            CONSTRAINTS, sites, shards=2, remote_link=link,
+            CONSTRAINTS, sites, shards=2, remote_links={"remote": link},
             executor=executor,
         )
         updates = weighted_stream(

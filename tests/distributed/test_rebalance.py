@@ -26,7 +26,7 @@ from repro.distributed.rebalance import (
 )
 from repro.distributed.remote import FetchPolicy, RemoteLink
 from repro.distributed.sharded import KeyRangePartitioner, ShardedChecker
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase, Site
 from repro.errors import RemoteUnavailableError
 from repro.updates.update import Deletion, Insertion
 
@@ -45,9 +45,9 @@ LOCAL = {"hot"}
 
 
 def make_sites():
-    return TwoSiteDatabase(
+    return FederatedDatabase(
         local=Site("local", {pred: [] for pred in LOCAL}),
-        remote=Site("remote", {"rem": [(7,), (3,)]}),
+        remotes=[Site("remote", {"rem": [(7,), (3,)]})],
         local_predicates=LOCAL,
     )
 
@@ -252,7 +252,7 @@ class TestEndToEnd:
         )
         part = KeyRangePartitioner(2, {"hot": [50]}, LOCAL)
         checker = ShardedChecker(
-            CONSTRAINTS, sites, partitioner=part, remote_link=link,
+            CONSTRAINTS, sites, partitioner=part, remote_links={"remote": link},
             parallelism=2 if executor == "thread" else 1,
             executor=executor, rebalance=rebalance,
         )

@@ -20,7 +20,7 @@ from repro.distributed.sharded import (
     PredicatePartitioner,
     ShardedChecker,
 )
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase, Site
 from repro.errors import RemoteUnavailableError
 from repro.updates.update import Deletion, Insertion, Modification
 
@@ -36,9 +36,9 @@ LOCAL = {"p", "q", "s", "t"}
 
 
 def make_sites():
-    return TwoSiteDatabase(
+    return FederatedDatabase(
         local=Site("local", {pred: [] for pred in LOCAL}),
-        remote=Site("remote", {"rem": [(99,), (3,)]}),
+        remotes=[Site("remote", {"rem": [(99,), (3,)]})],
         local_predicates=LOCAL,
     )
 
@@ -238,7 +238,7 @@ class TestVerdictEquivalence:
         ref_sites = make_sites()
         session = single_session(ref_sites)
         expected = [
-            verdict_key(session.process(u, remote=ref_sites.remote.snapshot))
+            verdict_key(session.process(u, remote=ref_sites.remotes["remote"].snapshot))
             for u in updates
         ]
         checker = ShardedChecker(CONSTRAINTS, make_sites(), shards=shards)
@@ -251,7 +251,7 @@ class TestVerdictEquivalence:
         ref_sites = make_sites()
         session = single_session(ref_sites)
         expected = [
-            verdict_key(session.process(u, remote=ref_sites.remote.snapshot))
+            verdict_key(session.process(u, remote=ref_sites.remotes["remote"].snapshot))
             for u in updates
         ]
         part = KeyRangePartitioner(3, {"p": [3, 6]}, LOCAL)
@@ -265,7 +265,7 @@ class TestVerdictEquivalence:
         ref_sites = make_sites()
         session = single_session(ref_sites)
         expected = [
-            verdict_key(session.process(u, remote=ref_sites.remote.snapshot))
+            verdict_key(session.process(u, remote=ref_sites.remotes["remote"].snapshot))
             for u in updates
         ]
         checker = ShardedChecker(CONSTRAINTS, make_sites(), shards=3)
@@ -280,7 +280,7 @@ class TestVerdictEquivalence:
         ref_sites = make_sites()
         session = single_session(ref_sites, apply_on_unknown=False)
         expected = [
-            verdict_key(session.process(u, remote=ref_sites.remote.snapshot))
+            verdict_key(session.process(u, remote=ref_sites.remotes["remote"].snapshot))
             for u in updates
         ]
         checker = ShardedChecker(
@@ -302,7 +302,7 @@ class TestFaultsAndGlobalDrain:
 
     def run_single(self, updates, fail_first):
         sites = make_sites()
-        remote = FlakyRemote(sites.remote, fail_first)
+        remote = FlakyRemote(sites.remotes["remote"], fail_first)
         session = single_session(sites)
         verdicts = [verdict_key(session.process(u, remote=remote)) for u in updates]
         drained = [
@@ -316,7 +316,7 @@ class TestFaultsAndGlobalDrain:
 
     def run_sharded(self, updates, fail_first, shards=3):
         sites = make_sites()
-        remote = FlakyRemote(sites.remote, fail_first)
+        remote = FlakyRemote(sites.remotes["remote"], fail_first)
         checker = ShardedChecker(CONSTRAINTS, sites, shards=shards)
         # Route escalations through the flaky callable instead of the
         # healthy site property.
@@ -381,7 +381,7 @@ class TestFaultsAndGlobalDrain:
             ]
         )
         sites = make_sites()
-        remote = FlakyRemote(sites.remote, fail_first=4)
+        remote = FlakyRemote(sites.remotes["remote"], fail_first=4)
         checker = ShardedChecker(constraints, sites, shards=2)
         checker.__class__ = type(
             "FlakyShardedChecker",
@@ -409,7 +409,7 @@ class TestFaultsAndGlobalDrain:
     def test_unreachable_remote_keeps_entries_queued(self):
         updates = [Insertion("q", (1, 7)), Insertion("q", (2, 8))]
         sites = make_sites()
-        remote = FlakyRemote(sites.remote, fail_first=10**9)
+        remote = FlakyRemote(sites.remotes["remote"], fail_first=10**9)
         checker = ShardedChecker(CONSTRAINTS, sites, shards=3)
         checker.__class__ = type(
             "FlakyShardedChecker",
@@ -423,6 +423,57 @@ class TestFaultsAndGlobalDrain:
         assert checker.pending_count == 2
         # The quarantine was rolled forward again: optimistic facts stay.
         assert db_state(checker.local_database())["q"] == [(1, 7), (2, 8)]
+
+
+class TestTransactions:
+    def test_abort_after_cross_shard_modification_restores_every_slice(self):
+        part = KeyRangePartitioner(2, {"p": [4]}, LOCAL)
+        checker = ShardedChecker(CONSTRAINTS, make_sites(), partitioner=part)
+        checker.check_stream(
+            [Insertion("p", (1, 2)), Insertion("s", (0, 1)), Insertion("q", (2, 5))]
+        )
+        before = [db_state(db) for db in checker._shard_dbs]
+        committed, reports = checker.process_transaction(
+            [
+                Modification("p", (1, 2), (7, 2)),  # shard 0 -> shard 1
+                Insertion("s", (2, 3)),
+                Insertion("q", (9, 3)),  # c_rem: rem(3) is stored -> abort
+            ]
+        )
+        assert not committed
+        assert len(reports) == 3
+        assert checker.stats.cross_shard_modifications == 1
+        assert checker.stats.transactions_rolled_back == 1
+        assert [db_state(db) for db in checker._shard_dbs] == before
+        maintained = 0
+        for session in checker.sessions:
+            for name in session._materializations.keys():
+                mat = session._materializations[name]
+                fresh = checker.constraints[name].engine.materialize(
+                    session.local_db
+                )
+                assert dict(mat._derived) == dict(fresh._derived), name
+                maintained += 1
+        assert maintained, "scenario must maintain a materialization"
+
+    def test_commit_spans_shards(self):
+        checker = ShardedChecker(CONSTRAINTS, make_sites(), shards=3)
+        committed, _ = checker.process_transaction(
+            [Insertion("p", (1, 2)), Insertion("s", (2, 3)), Insertion("q", (1, 7))]
+        )
+        assert committed
+        assert db_state(checker.local_database()) == {
+            "p": [(1, 2)], "q": [(1, 7)], "s": [(2, 3)]
+        }
+        assert checker.stats.transactions == 1
+        assert checker.stats.transactions_rolled_back == 0
+
+    def test_process_executor_refuses_transactions(self):
+        with ShardedChecker(
+            CONSTRAINTS, make_sites(), shards=2, executor="process"
+        ) as checker:
+            with pytest.raises(ValueError, match="thread executor"):
+                checker.process_transaction([Insertion("p", (1, 2))])
 
 
 class TestStatsAggregation:
@@ -461,7 +512,7 @@ class TestStatsAggregation:
         ref_sites = make_sites()
         session = single_session(ref_sites)
         for update in updates:
-            session.process(update, remote=ref_sites.remote.snapshot)
+            session.process(update, remote=ref_sites.remotes["remote"].snapshot)
         checker = ShardedChecker(CONSTRAINTS, make_sites(), shards=3)
         for update in updates:
             checker.process(update)
@@ -509,18 +560,20 @@ if HAVE_HYPOTHESIS:
         apply_on_unknown=st.booleans(),
         split_p=st.booleans(),
         parallelism=st.integers(min_value=1, max_value=3),
-        use_stream=st.booleans(),
+        mode=st.sampled_from(["process", "check_stream", "process_transaction"]),
     )
     @settings(max_examples=60, deadline=None)
     def test_sharded_checker_equivalent_to_single_session(
-        updates, shards, apply_on_unknown, split_p, parallelism, use_stream
+        updates, shards, apply_on_unknown, split_p, parallelism, mode
     ):
         ref_sites = make_sites()
         session = single_session(ref_sites, apply_on_unknown=apply_on_unknown)
-        expected = [
-            verdict_key(session.process(u, remote=ref_sites.remote.snapshot))
-            for u in updates
-        ]
+        remote = ref_sites.remotes["remote"].snapshot
+        if mode == "process_transaction":
+            committed, reports = session.process_transaction(updates, remote)
+            expected = [verdict_key(r) for r in reports]
+        else:
+            expected = [verdict_key(session.process(u, remote=remote)) for u in updates]
         partitioner = (
             KeyRangePartitioner(shards, {"p": [3] * (shards - 1)}, LOCAL)
             if split_p and shards > 1
@@ -533,11 +586,15 @@ if HAVE_HYPOTHESIS:
             apply_on_unknown=apply_on_unknown,
             parallelism=parallelism,
         )
-        if use_stream:
+        if mode == "check_stream":
             # Parallelism only engages in stream mode (fence-scheduled
-            # thread pool); per-update process() is always serial.
+            # thread pool); process() and transactions are always serial.
             actual = [verdict_key(r) for r in checker.check_stream(updates)]
-        else:
+        elif mode == "process":
             actual = [verdict_key(checker.process(u)) for u in updates]
+        else:
+            actual_committed, reports = checker.process_transaction(updates)
+            assert actual_committed == committed
+            actual = [verdict_key(r) for r in reports]
         assert actual == expected
         assert db_state(checker.local_database()) == db_state(session.local_db)

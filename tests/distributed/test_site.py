@@ -1,7 +1,7 @@
 """Site and access-accounting tests."""
 
 from repro.datalog.database import Database
-from repro.distributed.site import AccessStats, Site, TwoSiteDatabase
+from repro.distributed.site import AccessStats, FederatedDatabase, Site
 
 
 class TestSite:
@@ -51,11 +51,13 @@ class TestSite:
         assert stats.simulated_cost == 0.0
 
 
-class TestTwoSiteDatabase:
+class TestOneRemoteFederation:
+    """The classic two-site split: a federation with one remote."""
+
     def build(self):
-        return TwoSiteDatabase(
+        return FederatedDatabase(
             local=Site("local", {"emp": [("a", "d1", 5)]}),
-            remote=Site("remote", {"dept": [("d1",)]}, cost_per_read=1.0),
+            remotes=[Site("remote", {"dept": [("d1",)]}, cost_per_read=1.0)],
         )
 
     def test_local_predicates(self):
@@ -65,10 +67,10 @@ class TestTwoSiteDatabase:
         sites = self.build()
         merged = sites.full_database()
         assert merged.facts("emp") and merged.facts("dept")
-        assert sites.remote.stats.reads >= 1
+        assert sites.remotes["remote"].stats.reads >= 1
 
     def test_ground_truth_is_unmetered(self):
         sites = self.build()
         merged = sites.ground_truth_database()
         assert merged.facts("dept") == {("d1",)}
-        assert sites.remote.stats.reads == 0
+        assert sites.remotes["remote"].stats.reads == 0

@@ -1,8 +1,7 @@
 """Direct unit tests for the shared protocol-stats helpers.
 
-``ProtocolStats.record_reports`` and ``sync_session_gauges`` used to be
-duplicated (checker.py vs sharded.py); these tests pin the extracted
-single copy in ``repro.distributed.stats``.
+``ProtocolStats.record_reports`` and ``sync_session_gauges`` live once,
+in ``repro.distributed.stats``; these tests pin them directly.
 """
 
 from dataclasses import dataclass
@@ -182,13 +181,6 @@ class TestSyncSessionGauges:
         stats = ProtocolStats()
         for gauge in _SESSION_GAUGES:
             assert hasattr(stats, gauge)
-
-    def test_reexported_from_checker(self):
-        # legacy import path kept alive for downstream users
-        from repro.distributed import checker
-
-        assert checker.ProtocolStats is ProtocolStats
-        assert checker.sync_session_gauges is sync_session_gauges
 
 
 class TestCheckpointSerialization:

@@ -1,45 +1,62 @@
-"""DistributedChecker.check_stream: incremental protocol equivalence.
+"""Stream mode of the one-shard checker: incremental protocol equivalence.
 
 Stream mode must produce the same verdicts and the same final local
 state as the per-update protocol, while reporting materialization-reuse
 and cache counters through ProtocolStats.
 """
 
+from repro.core.engine import PartialInfoChecker
 from repro.core.outcomes import Outcome
-from repro.distributed.checker import DistributedChecker
+from repro.distributed.sharded import ShardedChecker
 from repro.distributed.workload import employee_workload, interval_workload
 
 
 def outcomes(reports):
-    return [r.outcome for r in reports]
+    return [(r.outcome, r.level) for r in reports]
+
+
+def per_update_protocol(workload):
+    """The per-update protocol with no session code: the stateless
+    :class:`PartialInfoChecker` over a copy of the local relations plus
+    the remote site, each update applied by hand unless it is rejected.
+    Returns the reports and the final local database."""
+    sites = workload.sites
+    checker = PartialInfoChecker(workload.constraints, sites.local_predicates)
+    local = sites.local.unmetered().copy()
+    (remote,) = sites.remotes.values()
+    results = []
+    for update in workload.updates:
+        reports = checker.check(update, local, remote.unmetered())
+        if not any(r.outcome is Outcome.VIOLATED for r in reports):
+            local.apply(update.as_delta())
+        results.append(reports)
+    return results, local
 
 
 class TestStreamEquivalence:
     def test_matches_per_update_protocol(self):
         for factory in (interval_workload, employee_workload):
-            stream_wl = factory(num_updates=40, covered_fraction=0.6, seed=11)
-            batch_wl = factory(num_updates=40, covered_fraction=0.6, seed=11)
+            workload = factory(num_updates=40, covered_fraction=0.6, seed=11)
+            expected, expected_local = per_update_protocol(workload)
 
-            per_update = DistributedChecker(batch_wl.constraints, batch_wl.sites)
-            expected = [per_update.process(u) for u in batch_wl.updates]
-
-            streaming = DistributedChecker(stream_wl.constraints, stream_wl.sites)
-            got = streaming.check_stream(stream_wl.updates)
-
-            assert [outcomes(r) for r in expected] == [outcomes(r) for r in got]
-            local_expected = batch_wl.sites.local.unmetered()
-            local_got = stream_wl.sites.local.unmetered()
-            for predicate in local_expected.predicates():
-                assert local_got.facts(predicate) == local_expected.facts(predicate)
-            assert (
-                streaming.stats.remote_round_trips
-                == per_update.stats.remote_round_trips
+            streaming = ShardedChecker(
+                workload.constraints, workload.sites, shards=1
             )
-            assert streaming.stats.rejected == per_update.stats.rejected
+            got = streaming.check_stream(workload.updates)
+
+            assert [outcomes(r) for r in got] == [outcomes(r) for r in expected]
+            assert streaming.local_database() == expected_local
+            assert streaming.stats.remote_round_trips == sum(
+                any(r.remote_accessed for r in reports) for reports in expected
+            )
+            assert streaming.stats.rejected == sum(
+                any(r.outcome is Outcome.VIOLATED for r in reports)
+                for reports in expected
+            )
 
     def test_final_state_satisfies_constraints(self):
         workload = employee_workload(num_updates=50, covered_fraction=0.5, seed=5)
-        checker = DistributedChecker(workload.constraints, workload.sites)
+        checker = ShardedChecker(workload.constraints, workload.sites, shards=1)
         checker.check_stream(workload.updates)
         assert workload.constraints.holds_all(workload.sites.ground_truth_database())
 
@@ -47,7 +64,7 @@ class TestStreamEquivalence:
 class TestStreamStats:
     def test_reuse_counters_populated(self):
         workload = employee_workload(num_updates=30, covered_fraction=0.7, seed=2)
-        checker = DistributedChecker(workload.constraints, workload.sites)
+        checker = ShardedChecker(workload.constraints, workload.sites, shards=1)
         checker.check_stream(workload.updates)
         stats = checker.stats
         assert stats.updates == 30
@@ -60,7 +77,7 @@ class TestStreamStats:
         """Interleaving process() and check_stream() must keep the
         session's materializations in sync with the shared local site."""
         workload = employee_workload(num_updates=20, covered_fraction=0.6, seed=8)
-        checker = DistributedChecker(workload.constraints, workload.sites)
+        checker = ShardedChecker(workload.constraints, workload.sites, shards=1)
         first, rest = workload.updates[:10], workload.updates[10:]
         checker.check_stream(first)  # builds session state
         for update in rest[:5]:
@@ -70,7 +87,7 @@ class TestStreamStats:
 
     def test_rejections_do_not_corrupt_stream_state(self):
         workload = employee_workload(num_updates=40, covered_fraction=0.2, seed=9)
-        checker = DistributedChecker(workload.constraints, workload.sites)
+        checker = ShardedChecker(workload.constraints, workload.sites, shards=1)
         reports = checker.check_stream(workload.updates)
         rejected = sum(
             1 for rs in reports if any(r.outcome is Outcome.VIOLATED for r in rs)

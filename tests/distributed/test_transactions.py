@@ -1,25 +1,31 @@
-"""Distributed transactions and batched streams over metered sites."""
+"""Distributed transactions and batched streams over metered sites,
+through the one-shard checker."""
 
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core.outcomes import Outcome
-from repro.distributed.checker import DistributedChecker
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.sharded import ShardedChecker
+from repro.distributed.site import FederatedDatabase, Site
 from repro.updates.update import Deletion, Insertion
 
 
 def site_snapshot(site: Site) -> dict:
+    # Non-empty relations only, as Database equality compares: checking
+    # a rejected insert applies and undoes it, which can leave an empty
+    # relation behind.
     db = site.unmetered()
-    return {pred: db.facts(pred) for pred in db.predicates()}
+    return {pred: db.facts(pred) for pred in db.predicates() if db.facts(pred)}
 
 
-def build(apply_on_unknown: bool = True) -> DistributedChecker:
-    sites = TwoSiteDatabase(
+def build(apply_on_unknown: bool = True) -> ShardedChecker:
+    sites = FederatedDatabase(
         local=Site("local", {"p": [(1,)], "q": []}, cost_per_read=1.0),
-        remote=Site("remote", {"r": [(9,)]}, cost_per_read=1.0),
+        remotes=[Site("remote", {"r": [(9,)]}, cost_per_read=1.0)],
         local_predicates={"p", "q"},
     )
     constraints = ConstraintSet([Constraint("panic :- q(X)", "no-q")])
-    return DistributedChecker(constraints, sites, apply_on_unknown=apply_on_unknown)
+    return ShardedChecker(
+        constraints, sites, shards=1, apply_on_unknown=apply_on_unknown
+    )
 
 
 class TestProcessTransaction:
@@ -73,16 +79,16 @@ class TestProcessTransaction:
         assert checker.sites.local.unmetered().facts("q") == frozenset()
 
     def test_pessimistic_policy_reaches_the_session(self):
-        # The stateless protocol always escalates UNKNOWN to level 3, so
-        # the policy bites in the stream session — verify it propagates.
-        sites = TwoSiteDatabase(
+        sites = FederatedDatabase(
             local=Site("local", {"p": [(1,)]}),
-            remote=Site("remote", {}),
+            remotes=[Site("remote", {})],
             local_predicates={"p"},
         )
         constraints = ConstraintSet([Constraint("panic :- p(X) & s(X)", "no-ps")])
-        checker = DistributedChecker(constraints, sites, apply_on_unknown=False)
-        assert checker.session.apply_on_unknown is False
+        checker = ShardedChecker(
+            constraints, sites, shards=1, apply_on_unknown=False
+        )
+        assert checker.sessions[0].apply_on_unknown is False
 
 
 class TestEffectiveWrites:
@@ -107,12 +113,12 @@ class TestBatchedStream:
         return constraints, updates
 
     def fresh(self, constraints):
-        sites = TwoSiteDatabase(
+        sites = FederatedDatabase(
             local=Site("local", {}),
-            remote=Site("remote", {}),
+            remotes=[Site("remote", {})],
             local_predicates={"tag"},
         )
-        return DistributedChecker(constraints, sites)
+        return ShardedChecker(constraints, sites, shards=1)
 
     def test_batched_equals_per_update(self):
         constraints, updates = self.workload()
@@ -128,13 +134,3 @@ class TestBatchedStream:
         assert b.stats.batched_updates > 0
         assert b.stats.incremental_deltas < a.stats.incremental_deltas
         assert b.stats.rejected == a.stats.rejected == 1
-
-    def test_batched_mode_requires_apply(self):
-        constraints, updates = self.workload()
-        checker = self.fresh(constraints)
-        try:
-            checker.check_stream(updates, apply_when_safe=False, batch_size=4)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("batched check_stream must refuse apply_when_safe=False")

@@ -1,6 +1,6 @@
 """Workload generator tests: determinism, initial consistency, knobs."""
 
-from repro.distributed.checker import DistributedChecker
+from repro.distributed.sharded import ShardedChecker
 from repro.distributed.workload import employee_workload, interval_workload
 
 
@@ -26,7 +26,7 @@ class TestIntervalWorkload:
             workload = interval_workload(
                 seed=3, num_updates=60, covered_fraction=covered
             )
-            checker = DistributedChecker(workload.constraints, workload.sites)
+            checker = ShardedChecker(workload.constraints, workload.sites, shards=1)
             for update in workload.updates:
                 checker.process(update)
             rates[covered] = checker.stats.local_resolution_rate
@@ -45,7 +45,7 @@ class TestEmployeeWorkload:
 
     def test_invariant_maintained_under_protocol(self):
         workload = employee_workload(seed=6, num_updates=40)
-        checker = DistributedChecker(workload.constraints, workload.sites)
+        checker = ShardedChecker(workload.constraints, workload.sites, shards=1)
         for update in workload.updates:
             checker.process(update)
             full = workload.sites.ground_truth_database()
@@ -57,7 +57,7 @@ class TestEmployeeWorkload:
             workload = employee_workload(
                 seed=8, num_updates=50, covered_fraction=covered
             )
-            checker = DistributedChecker(workload.constraints, workload.sites)
+            checker = ShardedChecker(workload.constraints, workload.sites, shards=1)
             for update in workload.updates:
                 checker.process(update)
             rates[covered] = checker.stats.local_resolution_rate
@@ -94,7 +94,7 @@ class TestBurstyWorkload:
         workload = self.make(
             num_updates=150, violation_cluster_rate=0.4, seed=9
         )
-        checker = DistributedChecker(workload.constraints, workload.sites)
+        checker = ShardedChecker(workload.constraints, workload.sites, shards=1)
         rejected = 0
         for update in workload.updates:
             reports = checker.process(update)
@@ -111,7 +111,7 @@ class TestBurstyWorkload:
             workload = self.make(
                 num_updates=120, covered_fraction=covered, seed=3
             )
-            checker = DistributedChecker(workload.constraints, workload.sites)
+            checker = ShardedChecker(workload.constraints, workload.sites, shards=1)
             for update in workload.updates:
                 checker.process(update)
             rates[covered] = checker.stats.local_resolution_rate

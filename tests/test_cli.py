@@ -323,6 +323,43 @@ class TestCommands:
         assert code == 1
         assert "ROLLED BACK" in capsys.readouterr().out
 
+    def transaction_run(self, constraint_file, db_file, tmp_path, capsys, *extra):
+        stream = tmp_path / "stream.txt"
+        stream.write_text("+emp(carl, toys, 55)\n-emp(ann, toys, 50)\n")
+        code = main(
+            ["check-stream", constraint_file, "--db", db_file,
+             "--updates", str(stream), "--local", "emp", "--transaction",
+             "-v", *extra]
+        )
+        verdicts, _, table = capsys.readouterr().out.partition("\n\n")
+        return code, verdicts, table
+
+    def test_check_stream_transaction_counts_level1_lookups(
+        self, constraint_file, db_file, tmp_path, capsys
+    ):
+        code, _, table = self.transaction_run(
+            constraint_file, db_file, tmp_path, capsys
+        )
+        assert code == 0
+        assert re.search(r"level-1 cache misses\s+[1-9]", table)
+
+    def test_check_stream_transaction_with_overlap_remote_commits(
+        self, constraint_file, db_file, tmp_path, capsys
+    ):
+        """A transaction needs settled verdicts, so its escalation (the
+        remote ``dept`` check of the hire) goes through the blocking
+        fetch even under --overlap-remote: a healthy remote commits."""
+        code, verdicts, _ = self.transaction_run(
+            constraint_file, db_file, tmp_path, capsys
+        )
+        assert code == 0
+        assert "[remote access]" in verdicts
+        assert verdicts.endswith("transaction: COMMITTED")
+        overlapped = self.transaction_run(
+            constraint_file, db_file, tmp_path, capsys, "--overlap-remote"
+        )
+        assert overlapped[:2] == (0, verdicts)
+
     def test_check_stream_batch_and_transaction_conflict(self, tmp_path, capsys):
         constraints = tmp_path / "c.dl"
         constraints.write_text("panic :- q(X)\n")
@@ -545,6 +582,13 @@ class TestExecutorAndRebalanceFlags:
             (["--remote-latency", "-1"], "latency and latency_jitter must be"),
             (["--remote-timeout", "-1"], "attempt_timeout must be non-negative"),
             (["--outage", "abc"], "outage window must look like START:LENGTH"),
+            (["--shards", "0"], "shards must be >= 1"),
+            (["--shards", "2", "--parallel", "0"], "parallelism must be >= 1"),
+            (["--shard-by", "hot=5"], "--shard-by needs --shards"),
+            (
+                ["--shards", "2", "--executor", "process", "--transaction"],
+                "--transaction needs the thread executor",
+            ),
         ],
     )
     def test_invalid_combinations_exit_3(self, tmp_path, capsys, extra, message):

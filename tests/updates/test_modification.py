@@ -120,17 +120,17 @@ class TestModificationLocalTest:
 class TestModificationInProtocol:
     def test_distributed_checker_applies_modifications(self):
         from repro.constraints.constraint import ConstraintSet
-        from repro.distributed.checker import DistributedChecker
-        from repro.distributed.site import Site, TwoSiteDatabase
+        from repro.distributed.sharded import ShardedChecker
+        from repro.distributed.site import FederatedDatabase, Site
 
         constraint = Constraint(
             "panic :- cleared(X,Y) & reading(Z) & X <= Z & Z <= Y", "fi"
         )
-        sites = TwoSiteDatabase(
+        sites = FederatedDatabase(
             local=Site("local", {"cleared": [(3, 10)]}),
-            remote=Site("remote", {"reading": [(100,)]}, cost_per_read=1.0),
+            remotes=[Site("remote", {"reading": [(100,)]}, cost_per_read=1.0)],
         )
-        checker = DistributedChecker(ConstraintSet([constraint]), sites)
+        checker = ShardedChecker(ConstraintSet([constraint]), sites, shards=1)
         # Shrinking an interval is locally safe (old interval covers new).
         reports = checker.process(Modification("cleared", (3, 10), (4, 8)))
         assert all(r.outcome is Outcome.SATISFIED for r in reports)
