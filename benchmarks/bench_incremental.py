@@ -174,60 +174,6 @@ def compare(name, constraints, local_preds, db, updates):
     }
 
 
-def run_batched(constraints, local_preds, db, updates, batch_size):
-    """The session in batched mode: one maintenance pass per batch."""
-    session = CheckSession(constraints, local_preds, local_db=db.copy())
-    t0 = time.perf_counter()
-    results = session.process_stream(
-        updates, max_level=CheckLevel.WITH_LOCAL_DATA, batch_size=batch_size
-    )
-    elapsed = time.perf_counter() - t0
-    outcomes = [tuple(r.outcome for r in reports) for reports in results]
-    return session, outcomes, elapsed
-
-
-def compare_batched(name, constraints, local_preds, db, updates, batch_size=32):
-    """Batched vs per-update session: identical verdicts and final state,
-    strictly fewer maintenance passes."""
-    t0 = time.perf_counter()
-    per_db, per_session, per_outcomes = run_session(
-        constraints, local_preds, db, updates
-    )
-    t_per_update = time.perf_counter() - t0
-
-    batched_session, batched_outcomes, t_batched = run_batched(
-        constraints, local_preds, db, updates, batch_size
-    )
-
-    assert per_outcomes == batched_outcomes, f"{name}: batched verdicts diverged"
-    batched_db = batched_session.local_db
-    for predicate in per_db.predicates() | batched_db.predicates():
-        assert per_db.facts(predicate) == batched_db.facts(predicate), (
-            f"{name}: batched final state diverged on {predicate}"
-        )
-    for constraint in constraints:
-        mat = batched_session._materializations.get(constraint.name)
-        if mat is not None:
-            assert mat.as_database() == constraint.engine.evaluate(batched_db), (
-                f"{name}: batched materialization drifted"
-            )
-    per_passes = per_session.stats.incremental_deltas
-    batched_passes = batched_session.stats.incremental_deltas
-    assert batched_passes < per_passes, (
-        f"{name}: batching did not reduce maintenance passes "
-        f"({batched_passes} vs {per_passes})"
-    )
-    return {
-        "name": name,
-        "updates": len(updates),
-        "per_update_s": t_per_update,
-        "batched_s": t_batched,
-        "per_passes": per_passes,
-        "batched_passes": batched_passes,
-        "stats": batched_session.stats,
-    }
-
-
 def run_benchmark(quick: bool = False):
     if quick:
         configs = [
@@ -268,31 +214,7 @@ def run_benchmark(quick: bool = False):
                 f"{r['name']}: expected >= {headline_floor}x, got "
                 f"{r['speedup']:.2f}x"
             )
-
-    batched_results = [
-        compare_batched(name, *workload) for name, workload in configs
-    ]
-    batched_rows = [
-        (
-            r["name"],
-            r["updates"],
-            f"{r['per_update_s']:.3f}",
-            f"{r['batched_s']:.3f}",
-            r["per_passes"],
-            r["batched_passes"],
-            r["stats"].batches_flushed,
-            r["stats"].batch_replays,
-            r["stats"].batch_probe_vetoes,
-        )
-        for r in batched_results
-    ]
-    print_table(
-        "Batched delta maintenance vs per-update (identical verdicts)",
-        ["workload", "updates", "per-upd (s)", "batched (s)",
-         "passes", "batched passes", "batches", "replays", "vetoes"],
-        batched_rows,
-    )
-    return results + batched_results
+    return results
 
 
 def test_m2_incremental_vs_scratch(benchmark):
@@ -303,7 +225,7 @@ def test_m2_incremental_vs_scratch(benchmark):
         run_session, args=(constraints, local_preds, db, updates),
         rounds=1, iterations=1,
     )
-    assert all(r["speedup"] >= 2.0 for r in results if "speedup" in r)
+    assert all(r["speedup"] >= 2.0 for r in results)
 
 
 def main(argv=None) -> int:

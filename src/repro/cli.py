@@ -25,11 +25,11 @@ comments ignored) from a file or stdin and drives one
 stream — a single shard, i.e. one incremental
 :class:`~repro.core.session.CheckSession` over the local site, unless
 ``--shards`` asks for more — printing per-update verdicts and the
-protocol statistics.  With ``--batch [N]`` consecutive safe updates
-share one maintenance pass (identical verdicts); with ``--transaction``
-the stream is atomic and any rejection rolls the local site back
-exactly, on any number of shards (but not with ``--executor process``,
-whose worker processes hold the shard state).
+protocol statistics.  With ``--transaction`` the stream is atomic and
+any rejection rolls the local site back exactly, on any number of
+shards (but not with ``--executor process``, whose worker processes
+hold the shard state).  Every update must target a ``--local``
+predicate: remote sites are read, never written.
 
 The ``--fault-rate`` / ``--outage`` / ``--retries`` /
 ``--remote-timeout`` / ``--remote-latency`` / ``--fault-seed`` flags
@@ -431,7 +431,6 @@ def _journal_config(args: argparse.Namespace, constraints, local_predicates):
         "parallel": args.parallel or 0,
         "executor": args.executor,
         "overlap_remote": bool(args.overlap_remote),
-        "batch": args.batch or 0,
         "apply_on_unknown": not args.pessimistic,
         "rebalance": args.rebalance or 0,
         "faults": {
@@ -624,6 +623,13 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
     db = load_database(args.db) if args.db else Database()
     updates = load_updates(args.updates)
     local_predicates = set(args.local or db.predicates())
+    for update in updates:
+        if update.predicate not in local_predicates:
+            local = ", ".join(sorted(local_predicates))
+            raise ReproError(
+                f"update {update} targets {update.predicate!r}, which is not "
+                f"a local predicate (local: {local})"
+            )
 
     recovered = None
     injector = None
@@ -647,20 +653,23 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
         journal_config = _journal_config(args, constraints, local_predicates)
         if args.resume:
             from repro.durability.journal import JOURNAL_FILE
-            from repro.durability.recovery import recover
+            from repro.durability.recovery import load_meta, recover
 
             if not os.path.exists(os.path.join(args.journal, JOURNAL_FILE)):
                 raise ReproError(
                     f"no journal found at {args.journal!r}; "
                     "did you mean a fresh --journal run?"
                 )
-            recovered = recover(args.journal)
-            if recovered.meta is not None and recovered.meta != journal_config:
+            # Before any manifest is read: a journal written under another
+            # configuration may carry stats this build cannot parse.
+            meta = load_meta(args.journal)
+            if meta is not None and meta != journal_config:
                 raise ReproError(
                     "--resume configuration differs from the journal's "
                     "meta.json; a journal only replays under the exact "
                     "configuration that wrote it"
                 )
+            recovered = recover(args.journal)
             if recovered.dropped_lines:
                 print(
                     f"journal: truncated {recovered.dropped_lines} torn/corrupt "
@@ -822,7 +831,7 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
                         for report in reports:
                             print(f"    {report}")
                 updates = updates[recovered.pos:]
-            results = checker.check_stream(updates, batch_size=args.batch)
+            results = checker.check_stream(updates)
             for update, reports in zip(updates, results):
                 status, rejected = _stream_status(reports, args.pessimistic)
                 if rejected:
@@ -1010,14 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="store_true",
         help="print the per-constraint reports for every update",
     )
-    mode = stream.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--batch", type=int, nargs="?", const=64, default=None, metavar="N",
-        help="coalesce up to N consecutive safe updates into one "
-        "maintenance pass (default N=64); verdicts are identical to "
-        "per-update mode",
-    )
-    mode.add_argument(
+    stream.add_argument(
         "--transaction", action="store_true",
         help="treat the whole stream as one atomic transaction: any "
         "rejection rolls back every applied update exactly (exit 1); "

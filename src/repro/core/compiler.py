@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -59,24 +58,15 @@ _MISSING = object()
 
 
 class LRUCache:
-    """A small bounded mapping with least-recently-used eviction.
+    """A small bounded mapping with least-recently-used eviction."""
 
-    Keys may be temporarily :meth:`pin`\\ ned: a pinned entry is never
-    evicted, even when the cache is over its bound (the overshoot is
-    reclaimed by :meth:`trim` once the pins are released).  The
-    deferred-verdict drain uses this to keep the materializations its
-    queued entries reference alive across the whole quarantine /
-    settle / redo cycle.
-    """
-
-    __slots__ = ("maxsize", "hits", "misses", "_data", "_pinned")
+    __slots__ = ("maxsize", "hits", "misses", "_data")
 
     def __init__(self, maxsize: int = LEVEL1_CACHE_SIZE) -> None:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
         self._data: OrderedDict = OrderedDict()
-        self._pinned: set = set()
 
     def get(self, key, default=None):
         try:
@@ -88,79 +78,14 @@ class LRUCache:
         self.hits += 1
         return value
 
-    def put(self, key, value) -> list[tuple]:
-        """Store *key*; returns the ``(key, value)`` pairs evicted to make
-        room (empty for most calls)."""
+    def put(self, key, value) -> None:
+        """Store *key*, evicting the least recently used entry when the
+        cache grows past its bound."""
         if key in self._data:
             self._data.move_to_end(key)
         self._data[key] = value
-        return self._evict_over_bound()
-
-    def _evict_over_bound(self) -> list[tuple]:
-        evicted: list[tuple] = []
-        if len(self._data) <= self.maxsize:
-            return evicted
-        for key in list(self._data.keys()):
-            if len(self._data) <= self.maxsize:
-                break
-            if key in self._pinned:
-                continue
-            evicted.append((key, self._data.pop(key)))
-        return evicted
-
-    # -- pinning ---------------------------------------------------------------
-    def pin(self, key) -> None:
-        """Exempt *key* from eviction until :meth:`unpin`."""
-        self._pinned.add(key)
-
-    def unpin(self, key) -> None:
-        """Release a pin (the entry stays cached until a :meth:`trim` or
-        a later :meth:`put` reclaims any overshoot)."""
-        self._pinned.discard(key)
-
-    @contextmanager
-    def pinning(self, keys: Iterable):
-        """Pin *keys* for the duration of a ``with`` block.
-
-        The pins are released even when the body raises, so an exception
-        mid-drain can no longer leak a pinned entry and silently shrink
-        the effective cache capacity forever.  Any overshoot the pins
-        protected is left for the caller's :meth:`trim` (or the next
-        :meth:`put`) to reclaim — callers account evictions.  Yields the
-        list of pinned keys (a snapshot of *keys*).
-        """
-        pinned = list(keys)
-        for key in pinned:
-            self._pinned.add(key)
-        try:
-            yield pinned
-        finally:
-            for key in pinned:
-                self._pinned.discard(key)
-
-    @property
-    def pinned(self) -> frozenset:
-        return frozenset(self._pinned)
-
-    def trim(self) -> list[tuple]:
-        """Evict least-recently-used unpinned entries down to the bound;
-        returns the evicted ``(key, value)`` pairs."""
-        return self._evict_over_bound()
-
-    def pop(self, key, default=None):
-        """Remove and return *key*'s value without touching the counters."""
-        return self._data.pop(key, default)
-
-    def __getitem__(self, key):
-        """Raw access: no counter updates, no recency bump."""
-        return self._data[key]
-
-    def keys(self):
-        return self._data.keys()
-
-    def values(self):
-        """Current values, least recently used first (no counter updates)."""
-        return self._data.values()
+        if len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -398,16 +323,15 @@ class ConstraintCompiler:
     def prewarm(self) -> None:
         """Force the remaining lazy per-constraint state on this thread.
 
-        Constraints initialize their datalog :class:`Engine`, panic
-        polarities, and class label lazily on first use; those
-        initializations are idempotent but wasteful to race.  The
-        parallel sharded checker calls this once before fanning sessions
-        out to worker threads.
+        Constraints initialize their datalog :class:`Engine` and class
+        label lazily on first use; those initializations are idempotent
+        but wasteful to race.  The parallel sharded checker calls this
+        once before fanning sessions out to worker threads.
         """
         for compiled in self._compiled.values():
             constraint = compiled.constraint
             try:
-                constraint.engine.panic_polarities()
+                constraint.engine
             except ReproError:
                 pass
             try:

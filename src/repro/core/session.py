@@ -6,8 +6,7 @@ maintains state the stateless checker rebuilds per call:
 
 * one :class:`~repro.datalog.evaluation.Materialization` per purely-local
   constraint, kept current by delta maintenance instead of re-evaluating
-  the constraint program against a fresh copy of the database — bounded
-  by a size/recency (LRU) policy mirroring the level-1 verdict cache;
+  the constraint program against a fresh copy of the database;
 * the compiler's bounded level-1 verdict cache (update streams repeat
   shapes);
 * copy-on-write snapshots and :class:`~repro.datalog.database.Delta`
@@ -19,18 +18,13 @@ Every update flows through the same Section 2 level pipeline as
 :class:`~repro.core.outcomes.CheckReport` verdicts — the facade and the
 session are two drivers over one compiled core.
 
-Two batching layers sit on top of the per-update pipeline:
-
-* :meth:`CheckSession.process_transaction` checks a sequence atomically:
-  each update is validated against the state its predecessors left, and
-  an abort replays the recorded :class:`~repro.datalog.database.UndoToken`\\ s
-  in reverse (see :mod:`repro.core.transaction`), restoring the database
-  *and* every maintained materialization exactly;
-* :meth:`CheckSession.process_stream` with a ``batch_size`` coalesces
-  consecutive *violation-monotone* safe updates into one composed
-  :class:`~repro.datalog.database.Delta` and runs a single maintenance
-  pass per batch instead of per update, falling back to an exact
-  per-update replay on the rare batch that fires a constraint.
+Every update takes one maintenance path: apply its delta, maintain each
+live materialization once, read the verdicts.
+:meth:`CheckSession.process_transaction` checks a sequence atomically:
+each update is validated against the state its predecessors left, and
+an abort replays the recorded :class:`~repro.datalog.database.UndoToken`\\ s
+in reverse (see :mod:`repro.core.transaction`), restoring the database
+*and* every maintained materialization exactly.
 
 Remote escalation is fault-tolerant: a remote source that raises
 :class:`~repro.errors.RemoteUnavailableError` (e.g. a
@@ -46,12 +40,11 @@ link recovers — covered updates keep flowing while uncovered ones wait.
 from __future__ import annotations
 
 import inspect
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Optional, Union
 
 from repro.constraints.constraint import Constraint, ConstraintSet
-from repro.core.compiler import ConstraintCompiler, LRUCache
+from repro.core.compiler import ConstraintCompiler
 from repro.core.outcomes import CheckLevel, CheckReport, Outcome
 from repro.core.transaction import Transaction, rollback_token
 from repro.datalog.database import Database, Delta, UndoToken, merged_view
@@ -63,7 +56,6 @@ __all__ = [
     "CheckSession",
     "PendingVerdict",
     "SessionStats",
-    "MATERIALIZATION_LIMIT",
     "aborts_transaction",
 ]
 
@@ -117,10 +109,6 @@ def _fetch_remote(
         return remote(predicates=sorted(predicates))
     return remote()
 
-#: Default bound on maintained materializations per session (one per
-#: purely-local constraint), evicted least-recently-used beyond it.
-MATERIALIZATION_LIMIT = 128
-
 
 @dataclass
 class SessionStats:
@@ -136,8 +124,6 @@ class SessionStats:
     materializations_built: int = 0
     #: checks answered from an already-maintained materialization
     materialization_reuses: int = 0
-    #: materializations dropped by the size/recency policy
-    materializations_evicted: int = 0
     #: delta-maintenance passes over materializations (incl. rollbacks)
     incremental_deltas: int = 0
     #: full remote fetches (level-3 escalations)
@@ -145,14 +131,6 @@ class SessionStats:
     #: shard mode: sibling-shard fetches for the cross-shard union view
     #: (site-local, never counted as remote round trips)
     peer_fetches: int = 0
-    #: batched stream mode: coalesced maintenance flushes
-    batches_flushed: int = 0
-    #: batched stream mode: updates resolved inside a coalesced batch
-    batched_updates: int = 0
-    #: batched stream mode: batches that fired and were replayed exactly
-    batch_replays: int = 0
-    #: batched stream mode: updates kept out of a batch by the panic probe
-    batch_probe_vetoes: int = 0
     #: transactions started / aborted via exact token rollback
     transactions: int = 0
     transactions_rolled_back: int = 0
@@ -173,14 +151,9 @@ class SessionStats:
             ("deferred on unknown", self.deferred_unknown),
             ("materializations built", self.materializations_built),
             ("materialization reuses", self.materialization_reuses),
-            ("materializations evicted", self.materializations_evicted),
             ("incremental deltas", self.incremental_deltas),
             ("remote fetches", self.remote_fetches),
             ("peer (cross-shard) fetches", self.peer_fetches),
-            ("batches flushed", self.batches_flushed),
-            ("batched updates", self.batched_updates),
-            ("batch replays", self.batch_replays),
-            ("batch probe vetoes", self.batch_probe_vetoes),
             ("transactions", self.transactions),
             ("transactions rolled back", self.transactions_rolled_back),
             ("deferred (remote unreachable)", self.deferred_remote),
@@ -232,39 +205,6 @@ class PendingVerdict:
         return [self.reports[constraint.name] for constraint in constraints]
 
 
-@dataclass
-class _PendingBatch:
-    """Bookkeeping for one in-flight coalesced batch: the updates whose
-    deltas hit the database eagerly but whose materialization maintenance
-    (and purely-local verdicts) are deferred to the flush."""
-
-    updates: list[Update] = field(default_factory=list)
-    reports: list[dict[str, CheckReport]] = field(default_factory=list)
-    pending_locals: list[list[Constraint]] = field(default_factory=list)
-    tokens: list[UndoToken] = field(default_factory=list)
-
-    def add(
-        self,
-        update: Update,
-        reports: dict[str, CheckReport],
-        pending_local: list[Constraint],
-        token: UndoToken,
-    ) -> None:
-        self.updates.append(update)
-        self.reports.append(reports)
-        self.pending_locals.append(pending_local)
-        self.tokens.append(token)
-
-    def __len__(self) -> int:
-        return len(self.updates)
-
-    def clear(self) -> None:
-        self.updates.clear()
-        self.reports.clear()
-        self.pending_locals.clear()
-        self.tokens.clear()
-
-
 class CheckSession:
     """Check a stream of updates against one evolving local database.
 
@@ -285,10 +225,6 @@ class CheckSession:
         only a definite VIOLATED rejects.  ``False`` applies an update
         only when every verdict is SATISFIED, leaving UNKNOWN updates
         unapplied (counted in :attr:`SessionStats.deferred_unknown`).
-    max_materializations:
-        Size bound for the maintained-materialization cache, evicted
-        least-recently-used (mirroring the level-1 verdict LRU).
-        ``None`` disables eviction.
     peer_predicates / peer_source:
         Shard mode (see :class:`~repro.distributed.sharded.ShardedChecker`):
         predicates that are *site-local but stored in sibling shards*,
@@ -314,7 +250,6 @@ class CheckSession:
         use_interval_datalog: bool = False,
         compiler: Optional[ConstraintCompiler] = None,
         apply_on_unknown: bool = True,
-        max_materializations: Optional[int] = MATERIALIZATION_LIMIT,
         peer_predicates: Iterable[str] = (),
         peer_source: RemoteSource = None,
         seq_source: Optional[Callable[[], int]] = None,
@@ -341,14 +276,10 @@ class CheckSession:
         self.local_db = local_db if local_db is not None else Database()
         self.apply_on_unknown = apply_on_unknown
         self.stats = SessionStats()
-        self._materializations: LRUCache = LRUCache(
-            max_materializations if max_materializations is not None else float("inf")
-        )
-        self._local_constraints = [
-            c
-            for c in self.constraints
-            if c.predicates() <= self.local_predicates
-        ]
+        #: one maintained materialization per purely-local constraint
+        #: checked so far, keyed by constraint name (the constraint set
+        #: bounds it)
+        self._materializations: dict[str, Materialization] = {}
         #: updates whose level-3 verdicts await a reachable remote (FIFO)
         self._pending: list[PendingVerdict] = []
         self._pending_seq = 0
@@ -365,14 +296,12 @@ class CheckSession:
     # -- materialization plumbing ---------------------------------------------
     def _materialization(self, constraint: Constraint) -> Materialization:
         """The maintained evaluation of a purely-local constraint; built
-        from the current database on first use, maintained afterwards,
-        and evicted least-recently-used past the session's bound."""
+        from the current database on first use, maintained afterwards."""
         mat = self._materializations.get(constraint.name)
         if mat is None:
             mat = constraint.engine.materialize(self.local_db)
-            evicted = self._materializations.put(constraint.name, mat)
+            self._materializations[constraint.name] = mat
             self.stats.materializations_built += 1
-            self.stats.materializations_evicted += len(evicted)
         else:
             self.stats.materialization_reuses += 1
         return mat
@@ -893,87 +822,41 @@ class CheckSession:
         exactly (rolling back the reversal) and the remainder stays
         queued; the call never raises
         :class:`~repro.errors.RemoteUnavailableError`.
-
-        For the whole drain, the materializations the queued entries
-        reference are **pinned** in the LRU cache: without the pin, an
-        eviction between queueing and draining (or mid-drain, while a
-        settle rebuilds a different constraint) silently drops the entry
-        from the quarantine/redo delta maintenance and forces repeated
-        from-scratch rebuilds against whatever state the settle loop is
-        mid-way through.
         """
         quarantined: dict[int, UndoToken] = {}
         resolved: list[PendingVerdict] = []
-        with self._pinned_pending_materializations():
-            try:
-                # Quarantine: strip the unverified optimistic facts,
-                # newest first.
-                for entry in reversed(self._pending):
-                    reversal = self._quarantine_entry(entry)
-                    if reversal is not None:
-                        quarantined[entry.seq] = reversal
-                dark: set[str] = set()
-                blocked: set[str] = set()
-                index = 0
-                while index < len(self._pending):
-                    entry = self._pending[index]
-                    if self._drain_blocked(entry, dark, blocked):
-                        blocked.add(entry.update.predicate)
-                        index += 1
-                        continue
-                    try:
-                        resolved.append(
-                            self._settle_at(index, remote, max_level, quarantined)
-                        )
-                    except RemoteUnavailableError as exc:
-                        failed = set(exc.sites) or self._entry_site_needs(entry)
-                        if not failed:
-                            break
-                        dark |= failed
-                        blocked.add(entry.update.predicate)
-                        index += 1
-            finally:
-                self._redo_quarantined(quarantined)
+        try:
+            # Quarantine: strip the unverified optimistic facts, newest
+            # first.
+            for entry in reversed(self._pending):
+                reversal = self._quarantine_entry(entry)
+                if reversal is not None:
+                    quarantined[entry.seq] = reversal
+            dark: set[str] = set()
+            blocked: set[str] = set()
+            index = 0
+            while index < len(self._pending):
+                entry = self._pending[index]
+                if self._drain_blocked(entry, dark, blocked):
+                    blocked.add(entry.update.predicate)
+                    index += 1
+                    continue
+                try:
+                    resolved.append(
+                        self._settle_at(index, remote, max_level, quarantined)
+                    )
+                except RemoteUnavailableError as exc:
+                    failed = set(exc.sites) or self._entry_site_needs(entry)
+                    if not failed:
+                        break
+                    dark |= failed
+                    blocked.add(entry.update.predicate)
+                    index += 1
+        finally:
+            self._redo_quarantined(quarantined)
         return resolved
 
     # -- drain building blocks (shared with ShardedChecker) --------------------
-    def _pending_local_constraints(self) -> list[Constraint]:
-        """The purely-local constraints a settle of any queued entry will
-        consult through its maintained materialization."""
-        predicates = {entry.update.predicate for entry in self._pending}
-        return [
-            constraint
-            for constraint in self._local_constraints
-            if any(self.compiler.mentions(constraint, p) for p in predicates)
-        ]
-
-    @contextmanager
-    def _pinned_pending_materializations(self):
-        """Build (from the current database) and pin every materialization
-        the queued entries reference, for the duration of a drain.
-
-        Pinned entries survive the whole drain, so the quarantine
-        reversal, each settle, and the redo all maintain them
-        incrementally instead of skipping evicted ones.  Every name is
-        pinned first, *then* built: a build's put must evict neither an
-        already-cached referenced entry nor (with every other slot
-        pinned) the entry it just added — and because the builds run
-        inside :meth:`~repro.core.compiler.LRUCache.pinning`, a build or
-        drain body that raises can no longer leak a pinned entry and
-        permanently shrink the cache.  Overshoot the pins protected is
-        reclaimed (and counted) on the way out."""
-        referenced = self._pending_local_constraints()
-        try:
-            with self._materializations.pinning(
-                constraint.name for constraint in referenced
-            ):
-                for constraint in referenced:
-                    self._materialization(constraint)
-                yield
-        finally:
-            evicted = self._materializations.trim()
-            self.stats.materializations_evicted += len(evicted)
-
     def _entry_needed_predicates(self, entry: PendingVerdict) -> set[str]:
         """The off-site predicates a settle of *entry* must fetch."""
         needed = self._remote_predicates(
@@ -1028,16 +911,6 @@ class CheckSession:
                 self.local_db, entry.token, self._materializations.values()
             )
         return None
-
-    def _settle_head(
-        self,
-        remote: RemoteSource,
-        max_level: CheckLevel,
-        quarantined: dict[int, UndoToken],
-    ) -> PendingVerdict:
-        """Fetch for and settle the oldest queued entry (see
-        :meth:`_settle_at`)."""
-        return self._settle_at(0, remote, max_level, quarantined)
 
     def _settle_at(
         self,
@@ -1149,221 +1022,23 @@ class CheckSession:
             if rejected:
                 self.stats.deferred_rolled_back += 1
 
-    # -- batched maintenance ---------------------------------------------------
-    def _delta_is_monotone(self, delta: Delta) -> bool:
-        """Can *delta* only ever *add* ``panic`` derivations to the
-        purely-local constraints?  (Insertions into positively-occurring
-        predicates, deletions from negatively-occurring ones.)  Such
-        deltas may be coalesced: a clean post-batch state then proves
-        every intermediate state clean."""
-        for constraint in self._local_constraints:
-            polarities = constraint.engine.panic_polarities()
-            for predicate in delta.insertions:
-                if not polarities.get(predicate, frozenset()) <= {1}:
-                    return False
-            for predicate in delta.deletions:
-                if not polarities.get(predicate, frozenset()) <= {-1}:
-                    return False
-        return True
-
-    def _probe_fires(
-        self, pending_local: list[Constraint], token: UndoToken
-    ) -> bool:
-        """Would the effective changes in *token* (already applied) derive
-        a new ``panic`` fact for any of the pending purely-local
-        constraints?  Only panic-only programs can answer without
-        maintained state; for the rest the probe abstains (returns
-        nothing firing) and correctness rests on the flush-time replay."""
-        if token.is_noop():
-            return False
-        effective = token.as_delta()
-        for constraint in pending_local:
-            if constraint.engine.panic_delta_probe(self.local_db, effective):
-                return True
-        return False
-
-    def _flush_batch(
-        self,
-        batch: _PendingBatch,
-        remote: RemoteSource,
-        max_level: CheckLevel,
-    ) -> list[list[CheckReport]]:
-        """Settle a coalesced batch: one maintenance pass per live
-        materialization with the composed net delta, then read the
-        deferred purely-local verdicts off the maintained state.
-
-        If nothing fires, every batched update was individually safe (the
-        batch is violation-monotone by construction) and the deferred
-        reports are finalized wholesale.  If something fires, the pass is
-        reverted, the tokens are undone in reverse, and the batch is
-        replayed update by update — exactly reproducing per-update
-        verdicts, rollbacks, and final state.
-        """
-        if not batch.updates:
-            return []
-        composed = Delta()
-        for token in batch.tokens:
-            composed.extend(token.as_delta())
-        undos = self._propagate(composed)
-        self.stats.batches_flushed += 1
-
-        # Snapshot the cache *objects*, not just the key set: the verdict
-        # loop below may evict a pre-batch entry to make room and may even
-        # rebuild one under a pre-existing name (from post-batch state).
-        # The replay path must restore the exact pre-probe contents.
-        probe_snapshot = {
-            name: self._materializations[name]
-            for name in self._materializations.keys()
-        }
-        fired = False
-        for pending in batch.pending_locals:
-            for constraint in pending:
-                if self._materialization(constraint).fires():
-                    fired = True
-                    break
-            if fired:
-                break
-
-        if not fired:
-            count = len(batch.updates)
-            self.stats.updates += count
-            self.stats.applied += count
-            self.stats.batched_updates += count
-            results = []
-            for index, (reports, pending) in enumerate(
-                zip(batch.reports, batch.pending_locals)
-            ):
-                for constraint in pending:
-                    reports[constraint.name] = CheckReport(
-                        constraint.name, Outcome.SATISFIED,
-                        CheckLevel.WITH_LOCAL_DATA,
-                        remote_accessed=False, detail="constraint is purely local",
-                    )
-                ordered = [reports[c.name] for c in self.constraints]
-                results.append(ordered)
-                if self.effect_log is not None:
-                    # One record per member, in stream order — a batch is
-                    # a maintenance optimization, not a journal unit.
-                    self.effect_log.record_update(
-                        batch.updates[index], ordered,
-                        applied=True, token=batch.tokens[index], entry=None,
-                    )
-            if self.effect_log is not None:
-                self.effect_log.safe_point()
-            return results
-
-        # Exact replay: restore the pre-batch state, then re-process each
-        # update through the ordinary per-update path.  The cache must end
-        # probe-invariant: drop every materialization the verdict loop
-        # built (post-batch state, not covered by *undos* — including one
-        # rebuilt under a pre-existing name after a probe-time eviction),
-        # revert the pre-batch survivors exactly, and re-insert pre-batch
-        # entries the probe evicted (they saw the composed delta via
-        # *undos*, so the revert below restores them too).
-        self.stats.batch_replays += 1
-        for name in list(self._materializations.keys()):
-            if self._materializations[name] is not probe_snapshot.get(name):
-                self._materializations.pop(name)
-        for mat, undo in reversed(undos):
-            mat.revert(undo)
-        for name, mat in probe_snapshot.items():
-            if name not in self._materializations:
-                self._materializations.put(name, mat)
-        for token in reversed(batch.tokens):
-            self.local_db.undo(token)
-        return [self.process(update, remote, max_level) for update in batch.updates]
-
     def process_stream(
         self,
         updates: Iterable[Update],
         remote: RemoteSource = None,
         max_level: CheckLevel = CheckLevel.FULL_DATABASE,
-        batch_size: Optional[int] = None,
         transaction: Optional[Transaction] = None,
     ) -> list[list[CheckReport]]:
         """Process a sequence of updates, applying each safe one.
 
-        With a *batch_size*, consecutive safe updates whose deltas are
-        violation-monotone for the purely-local constraints are coalesced:
-        their deltas hit the database eagerly (so level-2 local tests see
-        exactly the sequential pre-states) but materialization
-        maintenance runs once per batch on the composed net delta instead
-        of once per update.  Updates needing remote escalation, carrying
-        non-monotone deltas, or arriving past the size bound flush the
-        batch first.  Verdicts and final state are identical to
-        per-update processing — a batch that fires is replayed exactly.
-
-        Batching composes with fault-tolerant escalation by falling back
-        to exact per-update handling: an update that *might* escalate
-        (``pending_unknown`` non-empty) is never coalesced — it flushes
-        the open batch and runs through :meth:`process`, which owns the
-        per-update DEFERRED abort/queue point a coalesced batch lacks —
-        and a flush-time replay re-processes each member individually
-        the same way.  A DEFERRED verdict therefore queues a
-        :class:`PendingVerdict` exactly as in unbatched mode, and a
-        coalesced batch by construction never contains a deferral.
-
-        With a *transaction*, every applied update's effective changes
-        are recorded there so the caller can roll the whole stream back
-        exactly.  Transactions cannot be combined with *batch_size*: a
-        coalesced batch has no per-update abort point.
+        Updates are pulled one at a time, so a generator may prepare
+        per-update state just before its update is processed (the
+        sharded checker stamps the arrival sequence number a deferral
+        reads).  With a *transaction*, every applied update's effective
+        changes are recorded there so the caller can roll the whole
+        stream back exactly.
         """
-        if batch_size and transaction is not None:
-            raise ValueError(
-                "batch_size and transaction cannot be combined: a coalesced "
-                "batch has no per-update abort point"
-            )
-        if not batch_size:
-            return [
-                self.process(update, remote, max_level, transaction=transaction)
-                for update in updates
-            ]
-
-        results: list[list[CheckReport]] = []
-        batch = _PendingBatch()
-        for update in updates:
-            reports, pending_local, pending_unknown = self._static_checks(
-                update, max_level
-            )
-            batchable = (
-                not pending_unknown
-                and (
-                    self.apply_on_unknown
-                    or not any(
-                        r.outcome is Outcome.UNKNOWN for r in reports.values()
-                    )
-                )
-                and self._delta_is_monotone(update.as_delta())
-            )
-            if not batchable:
-                results.extend(self._flush_batch(batch, remote, max_level))
-                batch.clear()
-                self.stats.updates += 1
-                results.append(
-                    self._finish(
-                        update, reports, pending_local, pending_unknown,
-                        remote, max_level, True, None,
-                    )
-                )
-                if self.effect_log is not None:
-                    self.effect_log.safe_point()
-                continue
-            token = self.local_db.apply(update.as_delta())
-            if pending_local and self._probe_fires(pending_local, token):
-                # The update would fire a constraint: keep it out of the
-                # batch so the common clean-flush path stays cheap.  Undo
-                # the eager application and run the ordinary per-update
-                # pipeline (which re-applies, settles verdicts, and rolls
-                # back) after flushing what accumulated so far.
-                self.local_db.undo(token)
-                self.stats.batch_probe_vetoes += 1
-                results.extend(self._flush_batch(batch, remote, max_level))
-                batch.clear()
-                results.append(self.process(update, remote, max_level))
-                continue
-            batch.add(update, reports, pending_local, token)
-            if len(batch) >= batch_size:
-                results.extend(self._flush_batch(batch, remote, max_level))
-                batch.clear()
-        results.extend(self._flush_batch(batch, remote, max_level))
-        return results
+        return [
+            self.process(update, remote, max_level, transaction=transaction)
+            for update in updates
+        ]

@@ -55,7 +55,7 @@ class WritableStore(Protocol):
 
 #: Zero-arg callable yielding the materializations that must be kept in
 #: sync with the store; consulted at rollback time so materializations
-#: built (or evicted) mid-transaction are handled correctly.
+#: built mid-transaction are handled correctly.
 MaterializationSource = Callable[[], Iterable[Materialization]]
 
 MatUndos = tuple[tuple[Materialization, MaterializationUndo], ...]

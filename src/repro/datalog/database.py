@@ -297,43 +297,6 @@ class Delta:
         self.deletions.setdefault(predicate, set()).add(fact)
         return self
 
-    def extend(self, other: "Delta") -> "Delta":
-        """Compose *other* after this delta, both being *effective* deltas
-        relative to successive database states.
-
-        An effective delta's insertions are facts genuinely added and its
-        deletions facts genuinely removed (the shape
-        :meth:`UndoToken.as_delta` produces).  Composing two of them
-        cancels exactly: a fact *other* deletes after this delta inserted
-        it (or re-inserts after this delta deleted it) vanishes from the
-        result, so the composition is the net effective change of the
-        whole sequence — precisely the delta one batched
-        :meth:`~repro.datalog.evaluation.Materialization.apply_delta`
-        pass needs.  (Contrast :meth:`insert`/:meth:`delete`, whose
-        last-write-wins normalization keeps the late write: correct for
-        replaying intents against an arbitrary state, wrong for net
-        effective change.)
-        """
-        for predicate, facts in other.deletions.items():
-            for fact in facts:
-                pending = self.insertions.get(predicate)
-                if pending and fact in pending:
-                    pending.discard(fact)
-                    if not pending:
-                        del self.insertions[predicate]
-                else:
-                    self.deletions.setdefault(predicate, set()).add(fact)
-        for predicate, facts in other.insertions.items():
-            for fact in facts:
-                pending = self.deletions.get(predicate)
-                if pending and fact in pending:
-                    pending.discard(fact)
-                    if not pending:
-                        del self.deletions[predicate]
-                else:
-                    self.insertions.setdefault(predicate, set()).add(fact)
-        return self
-
     # -- views ---------------------------------------------------------------
     def is_empty(self) -> bool:
         return not self.insertions and not self.deletions

@@ -453,92 +453,6 @@ class Engine:
         """
         return Materialization(self, db)
 
-    def panic_delta_probe(self, db: Database, delta: Delta) -> Optional[bool]:
-        """For panic-only programs: does *delta* introduce a new ``panic``
-        derivation?
-
-        *delta* must be the effective changes already applied to *db*
-        (the same post-state contract as :meth:`Materialization.
-        apply_delta`).  The probe runs one delta-restricted pass over the
-        ``panic`` rules — no materialized state needed, because a program
-        whose every head is ``panic`` has no auxiliary IDB to consult.
-        Returns ``None`` when the program *does* derive auxiliary
-        predicates (the probe would need maintained state to be exact).
-
-        Batched sessions use this to keep updates that would fire a
-        constraint out of a coalesced batch; note it only sees *new*
-        derivations — a violation already present in *db* is invisible.
-        """
-        panic_only = getattr(self, "_panic_only", None)
-        if panic_only is None:
-            panic_only = all(
-                rule.head.predicate == PANIC_PREDICATE for rule in self.program
-            )
-            self._panic_only = panic_only
-        if not panic_only:
-            return None
-        source = _FactSource(db, {})
-        for rule in self.program:
-            for index, literal in enumerate(rule.body):
-                if isinstance(literal, Atom):
-                    added = delta.insertions.get(literal.predicate)
-                    if added and _evaluate_rule(
-                        rule, source, literal, set(added), self.use_indexes
-                    ):
-                        return True
-                elif isinstance(literal, Negation):
-                    removed = delta.deletions.get(literal.predicate)
-                    if removed:
-                        flipped_rule, flipped_atom = _flip_negation(rule, index)
-                        if _evaluate_rule(
-                            flipped_rule, source, flipped_atom,
-                            set(removed), self.use_indexes,
-                        ):
-                            return True
-        return False
-
-    def panic_polarities(self) -> Mapping[str, frozenset[int]]:
-        """The signs with which each predicate can influence ``panic``.
-
-        ``+1`` in a predicate's set means some derivation path reaches
-        ``panic`` through an even number of negations (more facts can
-        only add ``panic`` derivations), ``-1`` an odd number (more facts
-        can remove them).  A delta whose insertions all hit ``{+1}``-only
-        predicates and whose deletions all hit ``{-1}``-only ones is
-        *violation-monotone*: along a sequence of such deltas the set of
-        ``panic`` derivations only grows, so a clean final state proves
-        every intermediate state was clean too.  Batched maintenance
-        (:meth:`repro.core.session.CheckSession.process_stream`) uses
-        this to coalesce safe updates.  Predicates absent from the
-        program map to the empty set (vacuously monotone both ways).
-        """
-        cached = getattr(self, "_panic_polarities", None)
-        if cached is not None:
-            return cached
-        polarities: dict[str, set[int]] = {PANIC_PREDICATE: {1}}
-        changed = True
-        while changed:
-            changed = False
-            for rule in self.program:
-                head_signs = polarities.get(rule.head.predicate)
-                if not head_signs:
-                    continue
-                for literal in rule.body:
-                    if isinstance(literal, Atom):
-                        target, flip = literal.predicate, 1
-                    elif isinstance(literal, Negation):
-                        target, flip = literal.atom.predicate, -1
-                    else:
-                        continue
-                    bucket = polarities.setdefault(target, set())
-                    for sign in head_signs:
-                        if sign * flip not in bucket:
-                            bucket.add(sign * flip)
-                            changed = True
-        frozen = {pred: frozenset(signs) for pred, signs in polarities.items()}
-        self._panic_polarities = frozen
-        return frozen
-
     def _evaluate_stratum(
         self,
         db: Database,

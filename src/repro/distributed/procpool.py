@@ -24,18 +24,18 @@ cross the boundary.  The contract (DESIGN.md §11):
   reports).  The breaker therefore sees the same fetch sequence as the
   serial run;
 * the deferred-verdict drain is parent-coordinated: per-worker
-  quarantine under pinned materializations (``drain_begin``), a global
-  oldest-first walk over the shard queues with the parent evaluating
-  the partial-recovery dark/blocked guards on its own compiler, one
-  fetch + ``drain_settle`` per eligible entry, and ``drain_end`` to
-  redo what stayed queued.  Shard databases are disjoint, so per-worker
+  quarantine (``drain_begin``), a global oldest-first walk over the
+  shard queues with the parent evaluating the partial-recovery
+  dark/blocked guards on its own compiler, one fetch +
+  ``drain_settle`` per eligible entry, and ``drain_end`` to redo what
+  stayed queued.  Shard databases are disjoint, so per-worker
   quarantine order is physically equivalent to the global newest-first
   order the thread executor uses.
 
 Verdicts and final database state are byte-identical to the serial
-checker; stats are equivalent up to batching boundaries (an
-escalation-capable update always runs as its own slice so the worker
-never defers mid-stream).
+checker, and so is every protocol counter except the level-1 cache hit
+counts of the per-process compilers (an escalation-capable update always
+runs as its own slice so the worker never defers mid-stream).
 
 The parent additionally **supervises** its workers: a worker process
 that dies (OOM-killed, segfaulted, ``kill -9``-ed) surfaces as
@@ -61,7 +61,6 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Optional, Sequence
@@ -95,7 +94,6 @@ class ShardConfig:
     placement: tuple[tuple[str, str], ...]
     use_interval_datalog: bool
     apply_on_unknown: bool
-    max_materializations: Optional[int]
     facts: tuple[tuple[str, tuple], ...]
     #: stage effect records in the worker for the parent's journal
     #: (workers never touch the journal file — effects ride the
@@ -229,7 +227,6 @@ def _init_worker(config: ShardConfig) -> None:
         local_predicates=config.local_predicates,
         local_db=_build_db(dict(config.facts)),
         apply_on_unknown=config.apply_on_unknown,
-        max_materializations=config.max_materializations,
         peer_predicates=config.peer_predicates,
         peer_source=_peer_source,
         seq_source=lambda: seq_cell[0],
@@ -251,25 +248,22 @@ def _cmd_ping() -> bool:
     return "session" in _WORKER
 
 
-def _cmd_run_slice(
-    items: Sequence[tuple[int, Update]], batch_size: Optional[int]
-) -> dict:
+def _cmd_run_slice(items: Sequence[tuple[int, Update]]) -> dict:
     """One fence-free, escalation-free run of updates through the
-    worker's session (stream order, optional coalesced batching).
-    Returns the per-update report lists plus the staged journal effects
-    (one per update, slice order) when the worker journals."""
+    worker's session, in stream order.  Returns the per-update report
+    lists plus the staged journal effects (one per update, slice order)
+    when the worker journals."""
     session = _WORKER["session"]
     cell = _WORKER["seq"]
     _clear_effects()
 
     def feed():
+        # Stamp each update's arrival just before the session pulls it.
         for seq, update in items:
             cell[0] = seq
             yield update
 
-    results = session.process_stream(
-        feed(), remote=_boundary_remote, batch_size=batch_size
-    )
+    results = session.process_stream(feed(), remote=_boundary_remote)
     for reports in results:
         if any(r.outcome is Outcome.DEFERRED for r in reports):
             raise RuntimeError(
@@ -408,15 +402,12 @@ def _cmd_stats() -> dict:
 
 
 def _cmd_drain_begin() -> list[dict]:
-    """Enter the drain: pin the referenced materializations, quarantine
-    every applied pending entry (newest first within the shard — the
-    shard databases are disjoint, so this is physically equivalent to
-    the thread executor's global newest-first order), and describe the
-    queue so the parent can walk it globally oldest-first."""
+    """Enter the drain: quarantine every applied pending entry (newest
+    first within the shard — the shard databases are disjoint, so this
+    is physically equivalent to the thread executor's global
+    newest-first order), and describe the queue so the parent can walk
+    it globally oldest-first."""
     session = _WORKER["session"]
-    pins = ExitStack()
-    pins.enter_context(session._pinned_pending_materializations())
-    _WORKER["drain_pins"] = pins
     quarantined = {}
     for entry in reversed(session._pending):
         reversal = session._quarantine_entry(entry)
@@ -457,12 +448,7 @@ def _cmd_drain_settle(
 
 def _cmd_drain_end() -> dict:
     session = _WORKER["session"]
-    try:
-        session._redo_quarantined(_WORKER.pop("drain_quarantine", {}))
-    finally:
-        pins = _WORKER.pop("drain_pins", None)
-        if pins is not None:
-            pins.close()
+    session._redo_quarantined(_WORKER.pop("drain_quarantine", {}))
     return _cmd_stats()
 
 
@@ -587,8 +573,8 @@ class ProcessShardRunner:
     classification, and the partial-recovery guards all come from the
     parent checker's compiler, and every verdict is produced by the
     worker sessions.  Single-worker pools serialize commands per shard,
-    so worker-held state (the drain's pins and quarantine) is safe
-    without locks.
+    so worker-held state (the drain's quarantine) is safe without
+    locks.
     """
 
     def __init__(self, checker) -> None:
@@ -632,7 +618,6 @@ class ProcessShardRunner:
                 placement=placement,
                 use_interval_datalog=checker.compiler.use_interval_datalog,
                 apply_on_unknown=checker.apply_on_unknown,
-                max_materializations=checker.max_materializations,
                 facts=tuple(
                     (predicate, tuple(db.facts(predicate)))
                     for predicate in sorted(db.predicates())
@@ -743,8 +728,8 @@ class ProcessShardRunner:
     def _maybe_refresh(self, shard: int) -> None:
         """Re-baseline every ``_REFRESH_EVERY`` mutating commands, so a
         respawn replays a short suffix instead of the whole history —
-        but never mid-drain: the drain's worker-held pins and quarantine
-        must stay inside one replayable begin..end command span."""
+        but never mid-drain: the drain's worker-held quarantine must stay
+        inside one replayable begin..end command span."""
         if self._in_drain or len(self._log[shard]) < _REFRESH_EVERY:
             return
         try:
@@ -942,7 +927,6 @@ class ProcessShardRunner:
         self,
         shard: int,
         items: Sequence[tuple[int, Update]],
-        batch_size: Optional[int],
         journal_base: Optional[int] = None,
     ) -> tuple[list[tuple[int, list[CheckReport]]], int]:
         """One shard's slice of a parallel segment (driver-thread body;
@@ -969,7 +953,7 @@ class ProcessShardRunner:
             if not chunk:
                 return
             stamped = [(seq, update) for _pos, seq, update in chunk]
-            out = self._call(shard, _cmd_run_slice, stamped, batch_size)
+            out = self._call(shard, _cmd_run_slice, stamped)
             results = out["results"]
             effects = out["effects"] or [None] * len(results)
             for (pos, _seq, _update), reports, effect in zip(

@@ -528,13 +528,12 @@ class FederationLink:
       that did arrive are still cached — the partial-recovery drain in
       :meth:`~repro.core.session.CheckSession.resolve_pending` marks
       only those sites dark.
-    * a **verified-snapshot cache** with per-site staleness bounds:
-      a successful per-site fetch is remembered for ``snapshot_ttl``
-      simulated seconds on *that site's* link clock (``site_ttls``
-      overrides per site), and a later escalation whose needs are
-      covered is served from the cache without touching the site.  The
-      default (``None``) disables caching, preserving exact fetch-for-
-      fetch equivalence with the unfederated link.
+    * a **verified-snapshot cache**: a successful per-site fetch is
+      remembered for ``snapshot_ttl`` simulated seconds on *that site's*
+      link clock, and a later escalation whose needs are covered is
+      served from the cache without touching the site.  The default
+      (``None``) disables caching, preserving exact fetch-for-fetch
+      equivalence with the unfederated link.
     """
 
     def __init__(
@@ -543,7 +542,6 @@ class FederationLink:
         site_of: Callable[[str], Optional[str]],
         parallel: bool = True,
         snapshot_ttl: Optional[float] = None,
-        site_ttls: Optional[Mapping[str, float]] = None,
     ) -> None:
         if not links:
             raise ValueError("a federation link needs at least one site link")
@@ -551,10 +549,6 @@ class FederationLink:
         self.site_of = site_of
         self.parallel = parallel
         self.snapshot_ttl = snapshot_ttl
-        self.site_ttls = dict(site_ttls or {})
-        unknown = set(self.site_ttls) - set(self.links)
-        if unknown:
-            raise ValueError(f"site_ttls names unknown sites: {sorted(unknown)}")
         #: simulated federation clock: each escalation adds the max of
         #: its per-site latency deltas when parallel, the sum otherwise
         self.clock = 0.0
@@ -570,9 +564,6 @@ class FederationLink:
         self._composites: set[Future] = set()
 
     # -- plumbing ---------------------------------------------------------------
-    def _ttl(self, site: str) -> Optional[float]:
-        return self.site_ttls.get(site, self.snapshot_ttl)
-
     def _split(self, predicates: Iterable[str] | None) -> dict[str, Optional[frozenset]]:
         """The fan-out plan: site -> predicate restriction (``None`` =
         unrestricted).  An unrestricted fetch involves every site."""
@@ -604,7 +595,7 @@ class FederationLink:
         return results, misses
 
     def _cached(self, site: str, wanted: Optional[frozenset]) -> Optional[Database]:
-        ttl = self._ttl(site)
+        ttl = self.snapshot_ttl
         if ttl is None:
             return None
         with self._lock:
@@ -625,7 +616,7 @@ class FederationLink:
             return None
 
     def _store(self, site: str, wanted: Optional[frozenset], db: Database) -> None:
-        if self._ttl(site) is None:
+        if self.snapshot_ttl is None:
             return
         with self._lock:
             self._cache[site] = (self.links[site].clock, wanted, db.copy())
@@ -905,7 +896,6 @@ def resolve_escalation_link(
     remote_links: Optional[Mapping[str, RemoteLink]] = None,
     parallel_fanout: bool = True,
     snapshot_ttl: Optional[float] = None,
-    site_ttls: Optional[Mapping[str, float]] = None,
 ) -> Optional[RemoteLink | FederationLink]:
     """The escalation link for a
     :class:`~repro.distributed.site.FederatedDatabase` *sites*.
@@ -933,5 +923,4 @@ def resolve_escalation_link(
         sites.site_of,
         parallel=parallel_fanout,
         snapshot_ttl=snapshot_ttl,
-        site_ttls=site_ttls,
     )

@@ -52,7 +52,6 @@ import zlib
 from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.constraints.constraint import Constraint, ConstraintSet
@@ -61,7 +60,6 @@ from repro.datalog.atoms import Atom, Comparison
 from repro.datalog.terms import Variable
 from repro.core.outcomes import CheckLevel, CheckReport, Outcome
 from repro.core.session import (
-    MATERIALIZATION_LIMIT,
     CheckSession,
     PendingVerdict,
     aborts_transaction,
@@ -261,14 +259,12 @@ class ShardedChecker:
         partitioner: Optional[PredicatePartitioner] = None,
         use_interval_datalog: bool = False,
         apply_on_unknown: bool = True,
-        max_materializations: Optional[int] = MATERIALIZATION_LIMIT,
         parallelism: int = 1,
         overlap_remote: bool = False,
         session_factory: Optional[Callable[..., CheckSession]] = None,
         remote_links: Optional[Mapping[str, RemoteLink]] = None,
         parallel_fanout: bool = True,
         snapshot_ttl: Optional[float] = None,
-        site_ttls: Optional[Mapping[str, float]] = None,
         executor: str = "thread",
         rebalance: Optional[RebalancePolicy | bool] = None,
         chaos: Optional[CrashInjector] = None,
@@ -295,7 +291,6 @@ class ShardedChecker:
             sites, remote_links,
             parallel_fanout=parallel_fanout,
             snapshot_ttl=snapshot_ttl,
-            site_ttls=site_ttls,
         )
         if overlap_remote and resolved is None:
             raise ValueError(
@@ -314,7 +309,6 @@ class ShardedChecker:
         )
         self.constraints = self.compiler.constraints
         self.apply_on_unknown = apply_on_unknown
-        self.max_materializations = max_materializations
         self.remote_link = resolved
         self.parallelism = parallelism
         self.overlap_remote = overlap_remote
@@ -395,7 +389,6 @@ class ShardedChecker:
                     local_predicates=owned[index] | self.key_aligned,
                     local_db=self._shard_dbs[index],
                     apply_on_unknown=apply_on_unknown,
-                    max_materializations=max_materializations,
                     peer_predicates=(
                         self.site_predicates - owned[index] - self.key_aligned
                     ),
@@ -856,25 +849,14 @@ class ShardedChecker:
         return ordered
 
     def check_stream(
-        self,
-        updates: Iterable[Update],
-        batch_size: Optional[int] = None,
+        self, updates: Iterable[Update]
     ) -> list[list[CheckReport]]:
         """Stream mode over the shards.
 
-        Without a *batch_size* every update runs as :meth:`process` runs
-        it, and its reports are folded into the stats before the next
-        update starts (a journal checkpoint cut inside one update then
-        misses only that update's stats).  With a *batch_size*,
-        consecutive updates owned by the same shard form a run handed to
-        that shard's :meth:`CheckSession.process_stream`, so coalesced
-        maintenance batching (including the panic probe and exact
-        replay) runs per shard.  A shard switch flushes the run first,
-        so by the time a sibling's spanning check materializes the union
-        view every earlier delta has already reached its slice (batched
-        deltas hit the database eagerly); verdicts therefore match
-        global per-update processing.  Cross-shard modifications flush
-        the run and decompose.
+        Every update runs as :meth:`process` runs it, and its reports
+        are folded into the stats before the next update starts (a
+        journal checkpoint cut inside one update then misses only that
+        update's stats).
 
         With ``parallelism > 1`` — or the process executor, whose
         parallelism lives in the worker pool itself — the stream runs on
@@ -883,61 +865,12 @@ class ShardedChecker:
         way.
         """
         if self.parallelism > 1 or self._procpool is not None:
-            return self._check_stream_parallel(updates, batch_size)
+            return self._check_stream_parallel(updates)
         results: list[list[CheckReport]] = []
-        run: list[Update] = []
-        run_shard: Optional[int] = None
-
-        def flush() -> None:
-            if not run:
-                return
-            session = self.sessions[run_shard]
-            cell = self._seq_cells[run_shard]
-            items = tuple(run)
-
-            def feed():
-                # process_stream pulls one update at a time, so the
-                # stamp written here is the one _queue_pending reads if
-                # that update defers.
-                for item in items:
-                    cell[0] = next(self._arrival)
-                    yield item
-
-            before = session.stats.remote_fetches
-            run_results = session.process_stream(
-                feed(), remote=self.remote_source, batch_size=batch_size
-            )
-            self.stats.remote_round_trips += (
-                session.stats.remote_fetches - before
-            )
-            for reports in run_results:
-                self.stats.updates += 1
-                self.stats.record_reports(reports, self.apply_on_unknown)
-            results.extend(run_results)
-            run.clear()
-
         for update in updates:
             if self._rebalance_due:
-                # Flush first: a rebalance changes routing, and the
-                # accumulated run was routed under the old cuts.
-                flush()
-                run_shard = None
                 self.maybe_rebalance()
-            if not batch_size:
-                results.append(self._process_routed(update))
-                continue
-            if self._cross_shard_modification(update) is not None:
-                flush()
-                run_shard = None
-                results.append(self._process_split_modification(update))
-                continue
-            shard = self.shard_of(update)
-            self._observe(shard, update)
-            if run_shard is not None and shard != run_shard:
-                flush()
-            run_shard = shard
-            run.append(update)
-        flush()
+            results.append(self._process_routed(update))
         self._sync_gauges()
         return results
 
@@ -967,12 +900,12 @@ class ShardedChecker:
         sampled keys and merge the coldest adjacent range pair
         (:func:`~repro.distributed.rebalance.propose_split`).
 
-        Must only be called at a fence — no open parallel segment, no
-        accumulated serial run — because routing and shard data change
-        together (the stream drivers call it between segments; direct
-        callers get the same guarantee from ``process()`` being
-        synchronous).  Returns the applied plan, or None when the load
-        is even or no productive cut exists.
+        Must only be called at a fence — no open parallel segment —
+        because routing and shard data change together (the stream
+        drivers call it between segments; direct callers get the same
+        guarantee from ``process()`` being synchronous).  Returns the
+        applied plan, or None when the load is even or no productive cut
+        exists.
         """
         if self._load_tracker is None:
             return None
@@ -1095,7 +1028,6 @@ class ShardedChecker:
         self,
         shard: int,
         items: Sequence[tuple[int, Update]],
-        batch_size: Optional[int],
         journal_base: Optional[int] = None,
     ) -> tuple[list[tuple[int, list[CheckReport]]], int]:
         """Worker body: one shard's slice of a parallel segment.
@@ -1113,7 +1045,7 @@ class ShardedChecker:
         """
         if self._procpool is not None:
             return self._procpool.run_slice(
-                shard, items, batch_size, journal_base=journal_base
+                shard, items, journal_base=journal_base
             )
         session = self.sessions[shard]
         if journal_base is not None and isinstance(
@@ -1125,14 +1057,15 @@ class ShardedChecker:
         cell = self._seq_cells[shard]
 
         def feed():
+            # process_stream pulls one update at a time, so the stamp
+            # written here is the one _queue_pending reads if that
+            # update defers.
             for _pos, item in items:
                 cell[0] = next(self._arrival)
                 yield item
 
         before = session.stats.remote_fetches
-        run_results = session.process_stream(
-            feed(), remote=self.remote_source, batch_size=batch_size
-        )
+        run_results = session.process_stream(feed(), remote=self.remote_source)
         pairs = [
             (pos, reports)
             for (pos, _item), reports in zip(items, run_results)
@@ -1140,9 +1073,7 @@ class ShardedChecker:
         return pairs, session.stats.remote_fetches - before
 
     def _check_stream_parallel(
-        self,
-        updates: Iterable[Update],
-        batch_size: Optional[int] = None,
+        self, updates: Iterable[Update]
     ) -> list[list[CheckReport]]:
         """Fence-scheduled parallel stream execution.
 
@@ -1192,9 +1123,7 @@ class ShardedChecker:
                 # barrier.
                 self._chaos_hit("segment-dispatch")
                 futures = [
-                    executor.submit(
-                        self._run_shard_slice, shard, items, batch_size, jbase
-                    )
+                    executor.submit(self._run_shard_slice, shard, items, jbase)
                     for shard, items in by_shard.items()
                 ]
                 # Wait for every slice even if one fails: a worker must
@@ -1271,10 +1200,10 @@ class ShardedChecker:
         verified state only) holds site-wide, not per shard: a spanning
         re-check reads sibling slices through the union view, so a
         sibling's unverified optimistic fact would contaminate it.  The
-        drain therefore pins materializations and quarantines across
-        **all** shards first (newest-first on the shared sequence
-        clock) and settles globally oldest-first — always the smallest
-        still-eligible sequence number among the shard queues.  Partial
+        drain therefore quarantines across **all** shards first
+        (newest-first on the shared sequence clock) and settles globally
+        oldest-first — always the smallest still-eligible sequence
+        number among the shard queues.  Partial
         recovery works exactly as in the single-session drain: a fetch
         failure attributing its failed ``sites`` marks only those sites
         dark and the global walk continues, skipping entries that need a
@@ -1303,70 +1232,67 @@ class ShardedChecker:
         sessions = self.sessions
         quarantined: list[dict[int, UndoToken]] = [{} for _ in sessions]
         settled: list[PendingVerdict] = []
-        with ExitStack() as pins:
-            for session in sessions:
-                pins.enter_context(session._pinned_pending_materializations())
-            try:
-                timeline = sorted(
-                    (
-                        (entry.seq, index, entry)
-                        for index, session in enumerate(sessions)
-                        for entry in session._pending
-                    ),
-                    reverse=True,
-                )
-                for seq, index, entry in timeline:
-                    reversal = sessions[index]._quarantine_entry(entry)
-                    if reversal is not None:
-                        quarantined[index][seq] = reversal
-                # Chaos point: every optimistic fact is reversed but
-                # nothing has settled — a hard kill here must resume to
-                # the pre-drain state and re-drain from scratch.
-                self._chaos_hit("mid-drain")
-                dark: set[str] = set()
-                blocked: set[str] = set()
-                skipped: set[int] = set()
-                while True:
-                    head = None
-                    for index, session in enumerate(sessions):
-                        for position, entry in enumerate(session._pending):
-                            if entry.seq in skipped:
-                                continue
-                            if head is None or entry.seq < head[0]:
-                                head = (entry.seq, index, position, entry)
-                    if head is None:
-                        break
-                    seq, index, position, entry = head
-                    session = sessions[index]
-                    if session._drain_blocked(entry, dark, blocked):
-                        skipped.add(seq)
-                        blocked.add(entry.update.predicate)
-                        continue
-                    before = session.stats.remote_fetches
-                    try:
-                        entry = session._settle_at(
-                            position,
-                            self._drain_source,
-                            CheckLevel.FULL_DATABASE,
-                            quarantined[index],
-                        )
-                    except RemoteUnavailableError as exc:
-                        failed = set(exc.sites) or session._entry_site_needs(entry)
-                        if not failed:
-                            break
-                        dark |= failed
-                        skipped.add(seq)
-                        blocked.add(entry.update.predicate)
-                        continue
-                    self.stats.remote_round_trips += (
-                        session.stats.remote_fetches - before
-                    )
-                    settled.append(entry)
-            finally:
-                # Shard databases are disjoint, so per-shard redo order is
-                # physically equivalent to the global one.
+        try:
+            timeline = sorted(
+                (
+                    (entry.seq, index, entry)
+                    for index, session in enumerate(sessions)
+                    for entry in session._pending
+                ),
+                reverse=True,
+            )
+            for seq, index, entry in timeline:
+                reversal = sessions[index]._quarantine_entry(entry)
+                if reversal is not None:
+                    quarantined[index][seq] = reversal
+            # Chaos point: every optimistic fact is reversed but nothing
+            # has settled — a hard kill here must resume to the pre-drain
+            # state and re-drain from scratch.
+            self._chaos_hit("mid-drain")
+            dark: set[str] = set()
+            blocked: set[str] = set()
+            skipped: set[int] = set()
+            while True:
+                head = None
                 for index, session in enumerate(sessions):
-                    session._redo_quarantined(quarantined[index])
+                    for position, entry in enumerate(session._pending):
+                        if entry.seq in skipped:
+                            continue
+                        if head is None or entry.seq < head[0]:
+                            head = (entry.seq, index, position, entry)
+                if head is None:
+                    break
+                seq, index, position, entry = head
+                session = sessions[index]
+                if session._drain_blocked(entry, dark, blocked):
+                    skipped.add(seq)
+                    blocked.add(entry.update.predicate)
+                    continue
+                before = session.stats.remote_fetches
+                try:
+                    entry = session._settle_at(
+                        position,
+                        self._drain_source,
+                        CheckLevel.FULL_DATABASE,
+                        quarantined[index],
+                    )
+                except RemoteUnavailableError as exc:
+                    failed = set(exc.sites) or session._entry_site_needs(entry)
+                    if not failed:
+                        break
+                    dark |= failed
+                    skipped.add(seq)
+                    blocked.add(entry.update.predicate)
+                    continue
+                self.stats.remote_round_trips += (
+                    session.stats.remote_fetches - before
+                )
+                settled.append(entry)
+        finally:
+            # Shard databases are disjoint, so per-shard redo order is
+            # physically equivalent to the global one.
+            for index, session in enumerate(sessions):
+                session._redo_quarantined(quarantined[index])
         results: list[tuple[Update, list[CheckReport]]] = []
         for entry in settled:
             reports = entry.ordered_reports(self.constraints)

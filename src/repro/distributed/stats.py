@@ -39,16 +39,8 @@ class ProtocolStats:
     materializations_built: int = 0
     #: stream mode: checks answered from a maintained materialization
     materialization_reuses: int = 0
-    #: stream mode: materializations dropped by the size/recency policy
-    materializations_evicted: int = 0
     #: stream mode: delta-maintenance passes over materializations
     incremental_deltas: int = 0
-    #: batched stream mode: coalesced maintenance flushes / updates
-    #: settled inside a batch / batches replayed / probe vetoes
-    batches_flushed: int = 0
-    batched_updates: int = 0
-    batch_replays: int = 0
-    batch_probe_vetoes: int = 0
     #: transactions started / aborted via exact token rollback
     transactions: int = 0
     transactions_rolled_back: int = 0
@@ -110,12 +102,7 @@ class ProtocolStats:
         rows.append(("local resolution rate", round(self.local_resolution_rate, 4)))
         rows.append(("materializations built", self.materializations_built))
         rows.append(("materialization reuses", self.materialization_reuses))
-        rows.append(("materializations evicted", self.materializations_evicted))
         rows.append(("incremental deltas", self.incremental_deltas))
-        rows.append(("batches flushed", self.batches_flushed))
-        rows.append(("batched updates", self.batched_updates))
-        rows.append(("batch replays", self.batch_replays))
-        rows.append(("batch probe vetoes", self.batch_probe_vetoes))
         rows.append(("transactions", self.transactions))
         rows.append(("transactions rolled back", self.transactions_rolled_back))
         rows.append(("parallel segments", self.parallel_segments))
@@ -198,12 +185,7 @@ class ProtocolStats:
 _SESSION_GAUGES = (
     "materializations_built",
     "materialization_reuses",
-    "materializations_evicted",
     "incremental_deltas",
-    "batches_flushed",
-    "batched_updates",
-    "batch_replays",
-    "batch_probe_vetoes",
     "peer_fetches",
 )
 

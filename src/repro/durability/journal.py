@@ -212,8 +212,7 @@ class JournalWriter:
     writer owns:
 
     * the record counter ``pos`` (1-based stream position of the last
-      update record — batching is a maintenance optimization, so batch
-      members get one record each);
+      update record; every update gets one record);
     * **link-state change detection**: when a record is written and the
       attached link's ``(fetches, attempts)`` moved since the previous
       record, the link's full ``state_dict()`` rides on the record, so

@@ -1,40 +1,15 @@
-"""Materialization-LRU correctness under draining and batching.
+"""Maintained-materialization correctness under draining.
 
-Three regressions around the size/recency policy interacting with the
-other session features:
-
-* an eviction between queueing a :class:`PendingVerdict` and draining it
-  must not knock the drain off the incremental-maintenance path — the
-  drain pins the referenced materializations for its whole duration;
-* a batch-flush probe that evicts (or rebuilds) cache entries while
-  reading verdicts must leave the cache *probe-invariant* on the replay
-  path, or a materialization built from post-batch state survives the
-  replay over pre-batch facts;
-* batching composes with fault-tolerant escalation by exact per-update
-  fallback — an update that may escalate is never coalesced, so batched
-  and unbatched runs defer, queue, and drain identically.
+A materialization built *between* queueing a :class:`PendingVerdict` and
+draining it was built from a state that includes the entry's optimistic
+facts; the drain's quarantine, settle and redo must keep it exact.
 """
 
-import itertools
-
-import pytest
-
 from repro.constraints.constraint import Constraint, ConstraintSet
-from repro.core.outcomes import CheckLevel, Outcome
 from repro.core.session import CheckSession
 from repro.datalog.database import Database
 from repro.errors import RemoteUnavailableError
 from repro.updates.update import Insertion
-
-REACHES = (
-    "reach{n}(X, Y) :- {p}(X, Y).\n"
-    "reach{n}(X, Y) :- reach{n}(X, Z) & {p}(Z, Y).\n"
-    "panic :- reach{n}(X, X)."
-)
-
-
-def verdict_key(reports):
-    return tuple((r.constraint_name, r.outcome.name, r.level.name) for r in reports)
 
 
 def assert_no_drift(session, constraints):
@@ -47,12 +22,7 @@ def assert_no_drift(session, constraints):
             ), f"{constraint.name} drifted from the database"
 
 
-class TestDrainPinsMaterializations:
-    """Bug: with ``max_materializations=1`` and two pending constraints,
-    the drain used to thrash — each settle evicted the other entry's
-    materialization, forcing a from-scratch rebuild per entry and
-    skipping those entries in the quarantine/redo delta maintenance."""
-
+class TestDrainAfterInterveningBuild:
     CONSTRAINTS = ConstraintSet(
         [
             Constraint("panic :- p(X, Y) & p(Y, X)", "c_p"),
@@ -68,52 +38,16 @@ class TestDrainPinsMaterializations:
     def healthy(self, predicates=None):
         return Database({"rem": [(99,)]})
 
-    def test_drain_reuses_pinned_materializations(self):
+    def test_drain_consistent_after_build_between_queue_and_resolve(self):
+        """Build a different constraint's materialization *between*
+        queueing and draining, then drain: verdicts and state stay exact."""
         session = CheckSession(
             self.CONSTRAINTS,
             {"p", "q"},
             local_db=Database({"p": [], "q": []}),
-            max_materializations=1,
-        )
-        r1 = session.process(Insertion("p", (1, 2)), remote=self.down)
-        r2 = session.process(Insertion("q", (3, 4)), remote=self.down)
-        assert session.pending_count == 2
-        assert any(r.outcome is Outcome.DEFERRED for r in r1)
-        assert any(r.outcome is Outcome.DEFERRED for r in r2)
-
-        built_before = session.stats.materializations_built
-        reused_before = session.stats.materialization_reuses
-        resolved = session.resolve_pending(self.healthy)
-
-        assert len(resolved) == 2
-        for entry in resolved:
-            assert all(
-                r.outcome is Outcome.SATISFIED
-                for r in entry.ordered_reports(self.CONSTRAINTS)
-            )
-        # Both pending entries reference c_p and c_q; with the pin, the
-        # cache already holds one of them (a reuse), the other is built
-        # once, and every later touch is a reuse — no thrashing.
-        built = session.stats.materializations_built - built_before
-        reused = session.stats.materialization_reuses - reused_before
-        assert built == 1, f"drain rebuilt {built} materializations (pin lost)"
-        assert reused >= 2
-        # The pins are released afterwards and the bound holds again.
-        assert not session._materializations.pinned
-        assert len(session._materializations) <= 1
-        assert_no_drift(session, self.CONSTRAINTS)
-
-    def test_drain_consistent_after_eviction_between_queue_and_resolve(self):
-        """Force an eviction *between* queueing and draining (a different
-        constraint's build), then drain: verdicts and state stay exact."""
-        session = CheckSession(
-            self.CONSTRAINTS,
-            {"p", "q"},
-            local_db=Database({"p": [], "q": []}),
-            max_materializations=1,
         )
         session.process(Insertion("p", (1, 2)), remote=self.down)
-        # This build evicts whatever the deferral above left cached.
+        # A build between queueing and draining: c_q's materialization.
         session.process(Insertion("q", (5, 6)), remote=self.healthy)
         assert session.pending_count == 1
 
@@ -122,218 +56,3 @@ class TestDrainPinsMaterializations:
         assert session.pending_count == 0
         assert session.local_db.facts("p") == {(1, 2)}
         assert_no_drift(session, self.CONSTRAINTS)
-
-
-class TestPinningSurvivesMidDrainFailure:
-    """Regression: a materialization build (or any drain step) that raised
-    between pin and unpin used to leak the pinned names forever — every
-    later eviction pass skipped them, silently shrinking the effective
-    cache capacity.  Pinning is a context manager now; the pins must be
-    gone after a forced mid-drain failure, and a retry must drain clean."""
-
-    def make_session(self):
-        constraints = ConstraintSet(
-            [
-                Constraint("panic :- p(X, Y) & p(Y, X)", "c_p"),
-                Constraint("panic :- q(X, Y) & q(Y, X)", "c_q"),
-                Constraint("panic :- p(X, Y) & rem(Y)", "cr_p"),
-                Constraint("panic :- q(X, Y) & rem(Y)", "cr_q"),
-            ]
-        )
-        session = CheckSession(
-            constraints,
-            {"p", "q"},
-            local_db=Database({"p": [], "q": []}),
-            max_materializations=1,
-        )
-        return constraints, session
-
-    def down(self, predicates=None):
-        raise RemoteUnavailableError("down")
-
-    def healthy(self, predicates=None):
-        return Database({"rem": [(99,)]})
-
-    def test_pinned_empty_after_forced_mid_drain_failure(self, monkeypatch):
-        constraints, session = self.make_session()
-        session.process(Insertion("p", (1, 2)), remote=self.down)
-        session.process(Insertion("q", (3, 4)), remote=self.down)
-        assert session.pending_count == 2
-
-        # Both pending entries reference c_p and c_q; with a bound of 1
-        # at most one is cached, so the drain must build the other while
-        # its name is already pinned.  Make every fresh build blow up.
-        def boom(db):
-            raise RuntimeError("forced mid-drain build failure")
-
-        monkeypatch.setattr(constraints["c_p"].engine, "materialize", boom)
-        monkeypatch.setattr(constraints["c_q"].engine, "materialize", boom)
-        with pytest.raises(RuntimeError, match="forced mid-drain"):
-            session.resolve_pending(self.healthy)
-
-        # The leak: these pins used to survive the exception forever.
-        assert session._materializations.pinned == frozenset()
-        assert len(session._materializations) <= 1
-
-        # With the fault gone the same drain settles both entries and the
-        # cache bound still holds — capacity was not silently lost.
-        monkeypatch.undo()
-        resolved = session.resolve_pending(self.healthy)
-        assert len(resolved) == 2
-        assert session.pending_count == 0
-        assert session._materializations.pinned == frozenset()
-        assert len(session._materializations) <= 1
-        assert_no_drift(session, constraints)
-
-    def test_lru_pinning_context_releases_on_exception(self):
-        from repro.core.compiler import LRUCache
-
-        cache = LRUCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        with pytest.raises(ValueError):
-            # Pin names before building, like the drain does: the new
-            # entry's own put must not evict it.
-            with cache.pinning(["a", "b", "c"]):
-                cache.put("c", 3)  # overshoot: every resident pinned
-                assert set(cache.keys()) == {"a", "b", "c"}
-                raise ValueError("boom")
-        assert cache.pinned == frozenset()
-        cache.trim()
-        assert len(cache) <= 2
-
-
-class TestBatchProbeInvariance:
-    """Bug: the flush probe could evict a pre-batch LRU entry and then
-    rebuild it from *post-batch* state; the replay path only dropped
-    names absent before the probe, so the stale rebuild survived the
-    replay and fired (or stayed silent) against the wrong facts."""
-
-    CONSTRAINTS = ConstraintSet(
-        [
-            Constraint(REACHES.format(n=1, p="p"), "c1"),
-            Constraint(REACHES.format(n=2, p="q"), "c2"),
-            Constraint(REACHES.format(n=3, p="r"), "c3"),
-        ]
-    )
-
-    def run(self, batch_size):
-        session = CheckSession(
-            self.CONSTRAINTS,
-            {"p", "q", "r"},
-            local_db=Database({"p": [], "q": [], "r": []}),
-            max_materializations=2,
-        )
-        # Warm the cache to capacity: c1 then c2, c1 LRU-oldest.
-        for update in (Insertion("p", (10, 11)), Insertion("q", (20, 21))):
-            session.process(update, max_level=CheckLevel.WITH_LOCAL_DATA)
-        stream = [
-            Insertion("r", (30, 31)),  # probe builds c3 -> evicts c1
-            Insertion("p", (1, 2)),    # probe rebuilds c1 from post-batch state
-            Insertion("p", (2, 1)),    # closes the cycle -> the batch fires
-        ]
-        if batch_size:
-            results = session.process_stream(
-                stream,
-                max_level=CheckLevel.WITH_LOCAL_DATA,
-                batch_size=batch_size,
-            )
-        else:
-            results = [
-                session.process(u, max_level=CheckLevel.WITH_LOCAL_DATA)
-                for u in stream
-            ]
-        state = {
-            p: sorted(session.local_db.facts(p))
-            for p in session.local_db.predicates()
-        }
-        return session, [verdict_key(r) for r in results], state
-
-    def test_replayed_batch_is_probe_invariant(self):
-        session_per, verdicts_per, state_per = self.run(batch_size=None)
-        session_bat, verdicts_bat, state_bat = self.run(batch_size=8)
-        assert session_bat.stats.batch_replays >= 1, "scenario must replay"
-        assert verdicts_bat == verdicts_per
-        assert state_bat == state_per
-        assert_no_drift(session_bat, self.CONSTRAINTS)
-        assert_no_drift(session_per, self.CONSTRAINTS)
-
-    def test_clean_flush_still_respects_bound(self):
-        session = CheckSession(
-            self.CONSTRAINTS,
-            {"p", "q", "r"},
-            local_db=Database({"p": [], "q": [], "r": []}),
-            max_materializations=2,
-        )
-        stream = [Insertion(p, (i, i + 1)) for i, p in enumerate("pqr")]
-        session.process_stream(
-            stream, max_level=CheckLevel.WITH_LOCAL_DATA, batch_size=8
-        )
-        assert len(session._materializations) <= 2
-        assert_no_drift(session, self.CONSTRAINTS)
-
-
-class TestBatchingTimesDeferral:
-    """Batching x fault tolerance: a potentially-escalating update falls
-    back to the exact per-update path, so batched and unbatched streams
-    make the same remote calls, queue the same deferrals, and drain to
-    the same state."""
-
-    CONSTRAINTS = ConstraintSet(
-        [
-            Constraint("panic :- p(X, Y) & p(Y, X)", "local-cycle"),
-            Constraint("panic :- p(X, Y) & rem(Y)", "needs-remote"),
-        ]
-    )
-
-    class FlakyRemote:
-        def __init__(self, fail_calls):
-            self.fail_calls = set(fail_calls)
-            self.calls = []
-
-        def __call__(self, predicates=None):
-            index = len(self.calls)
-            self.calls.append(tuple(sorted(predicates or ())))
-            if index in self.fail_calls:
-                raise RemoteUnavailableError("down")
-            return Database({"rem": [(7,)]})
-
-    STREAM = [
-        Insertion("p", (1, 2)),   # escalates (call 0: down) -> DEFERRED
-        Insertion("p", (3, 4)),   # escalates (call 1: down) -> DEFERRED
-        Insertion("p", (5, 6)),   # escalates (call 2: up)   -> SATISFIED
-        Insertion("p", (6, 7)),   # escalates; rem(7) exists  -> VIOLATED
-    ]
-
-    def run(self, batch_size):
-        remote = self.FlakyRemote(fail_calls={0, 1})
-        session = CheckSession(
-            self.CONSTRAINTS, {"p"}, local_db=Database({"p": []})
-        )
-        results = session.process_stream(
-            self.STREAM, remote=remote, batch_size=batch_size
-        )
-        queued = [entry.update.values for entry in session.pending]
-        drained = [
-            (entry.update.values, verdict_key(entry.ordered_reports(self.CONSTRAINTS)))
-            for entry in session.resolve_pending(remote)
-        ]
-        state = {
-            p: sorted(session.local_db.facts(p))
-            for p in session.local_db.predicates()
-        }
-        return [verdict_key(r) for r in results], queued, drained, state, remote.calls
-
-    def test_batched_and_unbatched_defer_identically(self):
-        per = self.run(batch_size=None)
-        bat = self.run(batch_size=8)
-        assert bat == per
-        verdicts, queued, drained, state, calls = bat
-        assert queued == [(1, 2), (3, 4)]
-        assert [values for values, _ in drained] == [(1, 2), (3, 4)]
-        assert any(
-            outcome == "VIOLATED" for _, outcome, _ in verdicts[3]
-        ), "the rem(7)-violating insertion must be rejected in both modes"
-        assert state["p"] == [(1, 2), (3, 4), (5, 6)]
-        # Every remote call (batched or not) was the per-update one.
-        assert calls == [("rem",)] * 6

@@ -1,14 +1,10 @@
-"""Exact-rollback transactions and batched delta maintenance.
+"""Exact-rollback transactions.
 
 The contract under test: an aborted transaction leaves the database AND
 every maintained materialization byte-identical to the pre-transaction
 state — including when the transaction contained redundant insertions or
-deletions, whose naive inverses would destroy pre-existing facts.  And a
-batched ``process_stream`` produces verdicts and final state identical
-to per-update processing while running fewer maintenance passes.
+deletions, whose naive inverses would destroy pre-existing facts.
 """
-
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,15 +13,15 @@ from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core import CheckSession, Outcome
 from repro.core.transaction import Transaction, TransactionStateError
 from repro.datalog.database import Database
-from repro.updates.update import Deletion, Insertion, Modification
+from repro.updates.update import Deletion, Insertion
 
 
-def fd_session(**kwargs) -> CheckSession:
+def fd_session() -> CheckSession:
     constraints = ConstraintSet(
         [Constraint("panic :- p(X, A) & p(X, B) & A < B", "p-fd")]
     )
     db = Database({"p": [(1, 10), (2, 20)]})
-    return CheckSession(constraints, local_predicates={"p"}, local_db=db, **kwargs)
+    return CheckSession(constraints, local_predicates={"p"}, local_db=db)
 
 
 def snapshot(db: Database) -> dict:
@@ -132,102 +128,6 @@ class TestApplyOnUnknownPolicy:
         committed, _ = session.process_transaction([Insertion("p", (1,))])
         assert not committed
         assert session.local_db.facts("p") == frozenset()
-
-
-class TestMaterializationEviction:
-    def test_eviction_bounds_cache_and_keeps_verdicts(self):
-        constraints = ConstraintSet(
-            [
-                Constraint("panic :- a(X, S1) & a(X, S2) & S1 < S2", "a-fd"),
-                Constraint("panic :- b(X, S1) & b(X, S2) & S1 < S2", "b-fd"),
-            ]
-        )
-        session = CheckSession(
-            constraints, local_predicates={"a", "b"}, max_materializations=1
-        )
-        for i in range(4):
-            assert all(
-                r.outcome is Outcome.SATISFIED
-                for r in session.process(Insertion("a", (i, i)))
-            )
-            assert all(
-                r.outcome is Outcome.SATISFIED
-                for r in session.process(Insertion("b", (i, i)))
-            )
-        assert len(session._materializations) == 1
-        assert session.stats.materializations_evicted > 0
-        # A violation is still caught after all that churn.
-        reports = session.process(Insertion("a", (0, 99)))
-        assert any(r.outcome is Outcome.VIOLATED for r in reports)
-
-    def test_unbounded_when_disabled(self):
-        session = fd_session(max_materializations=None)
-        session.process(Insertion("p", (3, 30)))
-        assert session.stats.materializations_evicted == 0
-
-
-def random_updates(rng: random.Random, n: int) -> list:
-    """Random p-updates with a deliberate bias toward redundant
-    insertions/deletions and genuine FD violations."""
-    updates = []
-    for _ in range(n):
-        key, val = rng.randrange(4), rng.choice([10, 20, 30])
-        roll = rng.random()
-        if roll < 0.4:
-            updates.append(Insertion("p", (key, val)))
-        elif roll < 0.7:
-            updates.append(Deletion("p", (key, val)))
-        else:
-            updates.append(
-                Modification("p", (key, val), (rng.randrange(4), rng.choice([10, 20, 30])))
-            )
-    return updates
-
-
-class TestBatchedStream:
-    def run_both(self, updates, batch_size):
-        per_update = fd_session()
-        r1 = per_update.process_stream(updates)
-        batched = fd_session()
-        r2 = batched.process_stream(updates, batch_size=batch_size)
-        return per_update, r1, batched, r2
-
-    @pytest.mark.parametrize("batch_size", [1, 3, 64])
-    def test_equivalent_verdicts_and_state(self, batch_size):
-        rng = random.Random(13)
-        updates = random_updates(rng, 80)
-        per_update, r1, batched, r2 = self.run_both(updates, batch_size)
-        assert [[(r.constraint_name, r.outcome) for r in row] for row in r1] == [
-            [(r.constraint_name, r.outcome) for r in row] for row in r2
-        ]
-        assert snapshot(per_update.local_db) == snapshot(batched.local_db)
-        # No drift in the maintained materialization either.
-        mat = batched._materializations.get("p-fd")
-        if mat is not None:
-            fresh = next(iter(batched.constraints)).engine.materialize(
-                batched.local_db
-            )
-            assert dict(mat._derived) == dict(fresh._derived)
-
-    def test_batching_saves_maintenance_passes(self):
-        updates = [Insertion("p", (100 + i, i)) for i in range(32)]
-        per_update, _, batched, _ = self.run_both(updates, 8)
-        assert batched.stats.batches_flushed == 4
-        assert batched.stats.batched_updates == 32
-        assert batched.stats.incremental_deltas < per_update.stats.incremental_deltas
-
-    def test_probe_keeps_violations_out_of_batches(self):
-        updates = [
-            Insertion("p", (200, 1)),
-            Insertion("p", (200, 2)),  # violates the FD
-            Insertion("p", (201, 1)),
-        ]
-        _, r1, batched, r2 = self.run_both(updates, 8)
-        assert any(r.outcome is Outcome.VIOLATED for r in r2[1])
-        assert batched.stats.batch_probe_vetoes == 1
-        assert batched.stats.batch_replays == 0
-        assert batched.local_db.facts("p") >= {(200, 1), (201, 1)}
-        assert (200, 2) not in batched.local_db.facts("p")
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,8 +6,6 @@ and :meth:`resolve_pending` later settles it — under the pessimistic
 policy to exactly the verdicts and local state of a fault-free run.
 """
 
-import pytest
-
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core.outcomes import CheckLevel, Outcome
 from repro.core.session import CheckSession
@@ -181,13 +179,6 @@ class TestSessionDeferral:
         assert session.pending_count == 0
         assert set(session.local_db.facts("emp")) == {("ann", "toys", 50)}
 
-    def test_stream_rejects_batch_with_transaction(self):
-        session = self.build_session()
-        with pytest.raises(ValueError, match="batch_size and transaction"):
-            session.process_stream(
-                [LOCAL_SAFE], batch_size=4, transaction=session.transaction()
-            )
-
 
 class TestCheckerDeferral:
     def test_process_defers_and_resolves(self):
@@ -262,14 +253,6 @@ class TestCheckerDeferral:
         assert checker.pending_count == 0
         local = checker.sites.local.unmetered()
         assert set(local.facts("emp")) == {("ann", "toys", 50)}
-
-    def test_check_stream_rejects_batch_with_transaction(self):
-        checker, _ = build_checker(down=False)
-        (session,) = checker.sessions
-        with pytest.raises(ValueError, match="batch_size and transaction"):
-            session.process_stream(
-                [LOCAL_SAFE], batch_size=4, transaction=session.transaction()
-            )
 
     def test_check_stream_transaction_plumbed_through(self):
         checker, _ = build_checker(down=False)

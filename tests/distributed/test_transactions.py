@@ -1,5 +1,5 @@
-"""Distributed transactions and batched streams over metered sites,
-through the one-shard checker."""
+"""Distributed transactions over metered sites, through the one-shard
+checker."""
 
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core.outcomes import Outcome
@@ -100,37 +100,3 @@ class TestEffectiveWrites:
         assert site.insert("p", (2,)) is True
         assert site.delete("p", (1,)) is True
         assert site.stats.writes == 2
-
-
-class TestBatchedStream:
-    def workload(self):
-        constraints = ConstraintSet(
-            [Constraint("panic :- tag(X, A) & tag(X, B) & A < B", "tag-fd")]
-        )
-        updates = [Insertion("tag", (i % 10, i % 10)) for i in range(30)]
-        updates.append(Insertion("tag", (0, 99)))  # violation
-        updates.extend(Insertion("tag", (100 + i, 1)) for i in range(10))
-        return constraints, updates
-
-    def fresh(self, constraints):
-        sites = FederatedDatabase(
-            local=Site("local", {}),
-            remotes=[Site("remote", {})],
-            local_predicates={"tag"},
-        )
-        return ShardedChecker(constraints, sites, shards=1)
-
-    def test_batched_equals_per_update(self):
-        constraints, updates = self.workload()
-        a = self.fresh(constraints)
-        r1 = a.check_stream(updates)
-        b = self.fresh(constraints)
-        r2 = b.check_stream(updates, batch_size=8)
-        assert [[(r.constraint_name, r.outcome) for r in row] for row in r1] == [
-            [(r.constraint_name, r.outcome) for r in row] for row in r2
-        ]
-        assert site_snapshot(a.sites.local) == site_snapshot(b.sites.local)
-        assert b.stats.batches_flushed > 0
-        assert b.stats.batched_updates > 0
-        assert b.stats.incremental_deltas < a.stats.incremental_deltas
-        assert b.stats.rejected == a.stats.rejected == 1

@@ -29,7 +29,7 @@ from repro import cli
 from repro.core.outcomes import CheckLevel, CheckReport, Outcome
 from repro.datalog.database import UndoToken
 from repro.distributed.workload import bursty_workload
-from repro.durability.checkpoint import write_checkpoint
+from repro.durability.checkpoint import latest_checkpoint, write_checkpoint
 from repro.durability.journal import JournalWriter
 from repro.durability.recovery import load_meta, recover, write_meta
 from repro.errors import ReproError
@@ -457,6 +457,22 @@ def test_resume_refuses_a_different_configuration(tmp_path):
         code = cli.main(base + ["--journal", journal, "--resume"])
     assert code == 3
     assert "--resume configuration differs" in err.getvalue()
+    # A journal from a build with batched maintenance carries a "batch"
+    # fingerprint field and manifest counters this build does not know:
+    # the fingerprint is compared before any manifest is read.
+    del meta["backend"]
+    meta["batch"] = 0
+    write_meta(journal, meta)
+    manifest = latest_checkpoint(journal)
+    manifest["stats"]["batches_flushed"] = 0
+    write_checkpoint(journal, manifest)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(base + ["--journal", journal, "--resume"])
+    assert code == 3
+    assert err.getvalue().startswith("error: ")
+    assert "--resume configuration differs" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 def test_fresh_journal_refuses_a_populated_directory(tmp_path):
     base = write_workload_files(str(tmp_path), 6, seed=0)

@@ -272,7 +272,7 @@ class TestCommands:
         assert code == 0
         assert "applied" in capsys.readouterr().out
 
-    def test_check_stream_batched(self, tmp_path, capsys):
+    def test_check_stream_quoted_commas(self, tmp_path, capsys):
         constraints = tmp_path / "uniq.dl"
         constraints.write_text("%% uniq\npanic :- tag(X, A) & tag(X, B) & A < B\n")
         stream = tmp_path / "stream.txt"
@@ -289,15 +289,12 @@ class TestCommands:
                 str(stream),
                 "--local",
                 "tag",
-                "--batch",
-                "8",
             ]
         )
         assert code == 1
         out = capsys.readouterr().out
         assert out.count("applied") == 2
         assert out.count("REJECTED") == 1
-        assert "batches flushed" in out
 
     def test_check_stream_transaction_rolls_back(self, tmp_path, capsys):
         constraints = tmp_path / "noq.dl"
@@ -360,19 +357,6 @@ class TestCommands:
         )
         assert overlapped[:2] == (0, verdicts)
 
-    def test_check_stream_batch_and_transaction_conflict(self, tmp_path, capsys):
-        constraints = tmp_path / "c.dl"
-        constraints.write_text("panic :- q(X)\n")
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "check-stream",
-                    str(constraints),
-                    "--batch",
-                    "--transaction",
-                ]
-            )
-
     def test_missing_file_is_reported(self, capsys):
         assert main(["classify", "/nonexistent/path.dl"]) == 3
         assert "error" in capsys.readouterr().err
@@ -421,6 +405,26 @@ class TestMalformedInputs:
             tmp_path, capsys, constraints, '{"meter": [["a"]], "capLimit": [[100]]}'
         )
         assert "has arity 1, the local test expects 2" in err
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--shards", "2"], ["--shards", "2", "--parallel", "2"]]
+    )
+    def test_update_outside_local_predicates(self, tmp_path, capsys, extra):
+        import pathlib
+
+        data = pathlib.Path(__file__).resolve().parent.parent / "examples" / "data"
+        (tmp_path / "s.txt").write_text('+emp("carl", "toys", 55)\n+dept("zz")\n')
+        code = main(
+            ["check-stream", str(data / "employee_constraints.dl"),
+             "--db", str(data / "employee_db.json"),
+             "--updates", str(tmp_path / "s.txt"), "--local", "emp", *extra]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert "+dept('zz'" in captured.err and "local: emp" in captured.err
+        # Refused before the first update runs: no verdict line at all.
+        assert captured.out == ""
 
     def test_every_value_kind_loads(self, tmp_path):
         path = tmp_path / "db.json"
