@@ -1,7 +1,4 @@
-"""M6 — parallel shard execution and overlapped remote escalation.
-
-Two experiments, both asserting verdict/state identity before reporting
-any speedup:
+"""M6 — parallel shard execution.
 
 **Parallel shards.** A 500-update stream that is ~90% shard-local (the
 profile the fence scheduler is built for) runs through a single
@@ -16,17 +13,6 @@ three; the parallel run must be at least 2x faster than the serial
 sharded run in the full configuration.  Fences and parallel segments
 are reported — the speedup claim is meaningless without showing how
 often the scheduler had to serialize.
-
-**Overlapped escalation.** A stream whose escalations hit a slow remote
-(real sleep in ``snapshot``) runs once blocking and once with
-``overlap_remote=True``: the overlapped run defers each escalating
-update with the fetch's future in tow and keeps streaming, then settles
-everything through ``resolve_pending`` once the fetches land.  Settled
-*outcomes* and the final state must match the blocking run update for
-update.  (The deciding *level* of a settled verdict may legitimately be
-lower than the blocking run's: facts verified between the deferral and
-the drain can strengthen the paper's complete local test, deciding at
-``WITH_LOCAL_DATA`` what the blocking run escalated for.)
 
 Runs as a pytest-benchmark file (``pytest benchmarks/bench_parallel.py``)
 or as a script::
@@ -49,7 +35,6 @@ import time
 from repro.core.session import CheckSession
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.datalog.database import Database
-from repro.distributed.remote import RemoteLink
 from repro.distributed.sharded import ShardedChecker
 from repro.distributed.site import FederatedDatabase, Site
 from repro.updates.update import Deletion, Insertion
@@ -72,8 +57,6 @@ ALL_LOCAL = SHARD_LOCAL + SPANNING + (REMOTE_GUARDED,)
 #: GIL, so per-shard work overlaps on the pool even on one core
 STORAGE_LATENCY = 0.008
 STORAGE_LATENCY_QUICK = 0.004
-#: simulated slow-remote snapshot latency for the overlap experiment
-REMOTE_LATENCY = 0.03
 
 
 class StorageLatencySession(CheckSession):
@@ -89,20 +72,6 @@ class StorageLatencySession(CheckSession):
     def process(self, update, *args, **kwargs):
         time.sleep(self.latency)
         return super().process(update, *args, **kwargs)
-
-
-class SlowRemote:
-    """A remote site whose snapshots take real wall-clock time."""
-
-    def __init__(self, site: Site, latency: float) -> None:
-        self.site = site
-        self.latency = latency
-        self.calls = 0
-
-    def snapshot(self, predicates=None):
-        self.calls += 1
-        time.sleep(self.latency)
-        return self.site.snapshot(predicates=predicates)
 
 
 def build_constraints() -> ConstraintSet:
@@ -279,138 +248,15 @@ def run_parallel_experiment(quick: bool, shards: int, parallelism: int):
     }
 
 
-def run_overlap_experiment(quick: bool):
-    num_updates = 80 if quick else 200
-    constraints = ConstraintSet(
-        [
-            Constraint(f"panic :- {p}(X, Y) & {p}(Y, X)", f"cycle-{p}")
-            for p in SHARD_LOCAL[:4]
-        ]
-        + [Constraint(f"panic :- {REMOTE_GUARDED}(X, Y) & rem(Y)",
-                      "remote-guard")]
-    )
-    rng = random.Random(29)
-    base_local = Database({p: [] for p in ALL_LOCAL})
-    updates = []
-    # Escalating inserts get pairwise-distinct join columns: an applied
-    # rq fact must never become a complete-local-test witness for a
-    # later rq insert, or the blocking and overlapped runs would decide
-    # different updates locally (the optimistic entry's witness status
-    # is only resolved at the drain) and the comparison would be
-    # between two different decision sequences, not two schedules.
-    join_columns = rng.sample(range(40), 40)
-    for _ in range(num_updates):
-        if rng.random() < 0.9:
-            p = rng.choice(SHARD_LOCAL[:4])
-            fact = (rng.randrange(40), rng.randrange(40))
-        else:
-            p = REMOTE_GUARDED
-            fact = (rng.randrange(40), join_columns.pop())
-        updates.append(Insertion(p, fact))
-    base_remote = Database({"rem": [(i,) for i in range(0, 40, 9)]})
-
-    def run(overlap: bool):
-        sites = make_sites(base_local.copy(), base_remote.copy())
-        slow = SlowRemote(sites.remotes["remote"], REMOTE_LATENCY)
-        link = RemoteLink(slow)
-        checker = ShardedChecker(
-            constraints, sites, shards=2,
-            remote_links={"remote": link}, overlap_remote=overlap,
-        )
-        t0 = time.perf_counter()
-        in_stream = checker.check_stream(updates)
-        stream_seconds = time.perf_counter() - t0
-        link.wait_inflight(timeout=60.0)
-        settled = checker.resolve_pending()
-        total_seconds = time.perf_counter() - t0
-        link.close()
-        # Final per-update outcomes: in-stream, with each deferred
-        # update replaced by its settled reports (settle order is the
-        # deferral order, i.e. stream order).  Outcomes, not levels: a
-        # settle may decide at a lower level than the blocking run did.
-        final = [
-            tuple((r.constraint_name, r.outcome.name) for r in reports)
-            for reports in in_stream
-        ]
-        deferred_positions = [
-            index
-            for index, key in enumerate(final)
-            if any(outcome == "DEFERRED" for _, outcome in key)
-        ]
-        assert len(deferred_positions) == len(settled)
-        for position, (_update, reports) in zip(deferred_positions, settled):
-            final[position] = tuple(
-                (r.constraint_name, r.outcome.name) for r in reports
-            )
-        return {
-            "final": final,
-            "state": db_state(checker.local_database()),
-            "stream_seconds": stream_seconds,
-            "total_seconds": total_seconds,
-            "deferred": len(settled),
-            "fetch_calls": slow.calls,
-        }
-
-    blocking = run(False)
-    overlapped = run(True)
-    assert blocking["deferred"] == 0, (
-        "blocking run unexpectedly deferred updates"
-    )
-    assert overlapped["final"] == blocking["final"], (
-        "settled outcomes diverged from the blocking run"
-    )
-    assert overlapped["state"] == blocking["state"], (
-        "final state diverged from the blocking run"
-    )
-    stream_speedup = blocking["stream_seconds"] / overlapped["stream_seconds"]
-    rows = [
-        (
-            "blocking escalation",
-            f"{blocking['stream_seconds']:.3f}",
-            f"{blocking['total_seconds']:.3f}",
-            0,
-            blocking["fetch_calls"],
-        ),
-        (
-            "overlapped (fetch_nowait)",
-            f"{overlapped['stream_seconds']:.3f}",
-            f"{overlapped['total_seconds']:.3f}",
-            overlapped["deferred"],
-            overlapped["fetch_calls"],
-        ),
-    ]
-    print_table(
-        "M6b — overlapped remote escalation (settled verdicts identical, "
-        f"{REMOTE_LATENCY * 1000:.0f}ms remote)",
-        ["configuration", "stream (s)", "to settled (s)", "deferred",
-         "remote snapshots"],
-        rows,
-    )
-    print(f"in-stream speedup from overlapping: {stream_speedup:.2f}x")
-    return {
-        "updates": num_updates,
-        "settled_outcomes_identical": True,
-        "state_identical": True,
-        "blocking_stream_seconds": round(blocking["stream_seconds"], 4),
-        "overlapped_stream_seconds": round(overlapped["stream_seconds"], 4),
-        "blocking_total_seconds": round(blocking["total_seconds"], 4),
-        "overlapped_total_seconds": round(overlapped["total_seconds"], 4),
-        "stream_speedup": round(stream_speedup, 3),
-        "escalations_overlapped": overlapped["deferred"],
-    }
-
-
 def run_benchmark(quick: bool = False, shards: int = 4, parallelism: int = 4):
     return {
         "parallel_shards": run_parallel_experiment(quick, shards, parallelism),
-        "overlapped_escalation": run_overlap_experiment(quick),
     }
 
 
-def test_m6_parallel_and_overlap(benchmark):
+def test_m6_parallel(benchmark):
     result = run_benchmark(quick=False)
     assert result["parallel_shards"]["speedup"] >= 2.0
-    assert result["overlapped_escalation"]["settled_outcomes_identical"]
     constraints = build_constraints()
     local, remote, updates = build_workload(120)
     benchmark.pedantic(

@@ -6,11 +6,15 @@ threaded with violation clusters), both driven through the real CLI so
 the measured path is exactly what ``check-stream --journal`` ships:
 
 **Journal overhead.** The same 500-update stream (120 under
-``--quick``) runs twice under a simulated per-update storage latency —
-once bare, once with ``--journal`` (CRC-framed effects records, batched
-fsync every 16 updates, a checkpoint manifest every 64).  The verdict
-lines must be byte-identical, and the journalled run may cost at most
-15% more wall clock than the bare run.
+``--quick``) runs under a simulated per-update storage latency in three
+alternating pairs of passes — one bare, one with ``--journal``
+(CRC-framed effects records, batched fsync every 16 updates, a
+checkpoint manifest every 64, a fresh directory per pass), the side
+that runs first alternating from pair to pair.  Every pass's verdict
+lines must be byte-identical, and the fastest journalled pass may cost
+at most 15% more wall clock than the fastest bare pass: each side's
+minimum is its least-disturbed pass, so one host-noise spike cannot
+decide the comparison.
 
 **Parallel journal overhead (M10).** The same comparison with
 ``--shards 4 --parallel 4``, so the seq-ordered commit path is in
@@ -145,50 +149,63 @@ def run_overhead_experiment(base_args, journal_dir, num_updates, *,
     """Bare vs journalled wall clock for one executor configuration.
 
     ``extra_flags`` select the executor (e.g. ``--shards 4 --parallel
-    4`` for M10); both runs get them, so the delta isolates the journal.
+    4`` for M10); both sides get them, so the delta isolates the journal.
+    Three alternating pairs of passes are timed and the sides' minima
+    compared; returns the headline numbers and the first (bare) pass's
+    output, the reference every other pass must match.
     """
     extra_flags = list(extra_flags)
     # Untimed warmup: first-run costs (imports, compiler warm, thread
     # pool spin-up) otherwise land on whichever side runs first and
     # swamp the few-hundred-ms quick configuration.
     run_cli(base_args + extra_flags)
+    seconds = {"bare": [], "journal": []}
+    reference = None
     with storage_latency(STORAGE_LATENCY):
-        t0 = time.perf_counter()
-        bare_code, bare_out = run_cli(base_args + extra_flags)
-        bare_seconds = time.perf_counter() - t0
+        for index in range(3):
+            order = ("bare", "journal") if index % 2 == 0 else ("journal", "bare")
+            for side in order:
+                argv = base_args + extra_flags
+                if side == "journal":
+                    argv = argv + [
+                        "--journal", os.path.join(journal_dir, f"pass{index}"),
+                        "--sync-every", str(SYNC_EVERY),
+                        "--checkpoint-every", str(CHECKPOINT_EVERY),
+                    ]
+                t0 = time.perf_counter()
+                code, out = run_cli(argv)
+                seconds[side].append(time.perf_counter() - t0)
+                if reference is None:
+                    reference = (code, verdict_lines(out), out)
+                assert (code, verdict_lines(out)) == reference[:2], (
+                    f"pass {index + 1} ({side}): exit code or verdicts "
+                    "diverged from the first bare pass"
+                )
 
-        t0 = time.perf_counter()
-        journal_code, journal_out = run_cli(
-            base_args + extra_flags + [
-                "--journal", journal_dir,
-                "--sync-every", str(SYNC_EVERY),
-                "--checkpoint-every", str(CHECKPOINT_EVERY),
-            ]
-        )
-        journaled_seconds = time.perf_counter() - t0
-
-    assert bare_code == journal_code, (
-        f"exit codes diverged: bare {bare_code} vs journalled {journal_code}"
-    )
-    assert verdict_lines(bare_out) == verdict_lines(journal_out), (
-        "journalled verdicts diverged from the bare run"
-    )
+    bare_seconds = min(seconds["bare"])
+    journaled_seconds = min(seconds["journal"])
     overhead_pct = 100.0 * (journaled_seconds - bare_seconds) / bare_seconds
     assert overhead_pct < OVERHEAD_CEILING_PCT, (
         f"journal overhead {overhead_pct:.1f}% exceeds the "
         f"{OVERHEAD_CEILING_PCT:.0f}% ceiling ({bare_seconds:.3f}s bare vs "
-        f"{journaled_seconds:.3f}s journalled)"
+        f"{journaled_seconds:.3f}s journalled, fastest of "
+        f"{len(seconds['bare'])} passes each)"
     )
 
     mode = " ".join(extra_flags) if extra_flags else "serial stream"
+    passes = {
+        side: " / ".join(f"{value:.3f}" for value in values)
+        for side, values in seconds.items()
+    }
     print_table(
         f"{label} — journal overhead ({num_updates} bursty updates, "
         f"{mode}, fsync every {SYNC_EVERY}, checkpoint every "
         f"{CHECKPOINT_EVERY}, {STORAGE_LATENCY * 1000:.0f}ms storage latency)",
-        ["configuration", "wall (s)", "overhead"],
+        ["configuration", "fastest wall (s)", "passes (s)", "overhead"],
         [
-            ("bare stream", f"{bare_seconds:.3f}", "--"),
-            ("--journal", f"{journaled_seconds:.3f}", f"{overhead_pct:+.1f}%"),
+            ("bare stream", f"{bare_seconds:.3f}", passes["bare"], "--"),
+            ("--journal", f"{journaled_seconds:.3f}", passes["journal"],
+             f"{overhead_pct:+.1f}%"),
         ],
     )
     return {
@@ -200,8 +217,10 @@ def run_overhead_experiment(base_args, journal_dir, num_updates, *,
         "verdicts_identical": True,
         "bare_seconds": round(bare_seconds, 4),
         "journaled_seconds": round(journaled_seconds, 4),
+        "bare_passes": [round(value, 4) for value in seconds["bare"]],
+        "journaled_passes": [round(value, 4) for value in seconds["journal"]],
         "overhead_pct": round(overhead_pct, 2),
-    }, bare_out
+    }, reference[2]
 
 
 def run_recovery_experiment(base_args, journal_dir, num_updates, bare_out):

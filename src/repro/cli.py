@@ -43,14 +43,14 @@ verdict is SATISFIED.
 ``--shards N`` partitions the local site into N per-shard check
 sessions (verdicts identical to a single session); ``--parallel N``
 additionally runs shard-confined updates on N worker threads with
-explicit fences around cross-shard work, and ``--overlap-remote``
-issues remote escalations asynchronously so the stream keeps flowing
-while a slow fetch is in flight.  ``--executor process`` moves each
-shard session into its own worker process (escalations bounce through
-the parent's fault-tolerant link; verdicts stay identical), and
-``--rebalance [N]`` enables live key-range rebalancing: every N routed
-updates a hot shard's range is split at its sampled median key and the
-affected facts (and pending verdicts) migrate at a fence.
+explicit fences around cross-shard work.  Every remote escalation is a
+blocking fetch on the thread that needs it.  ``--executor process``
+moves each shard session into its own worker process (escalations
+bounce through the parent's fault-tolerant link; verdicts stay
+identical), and ``--rebalance [N]`` enables live key-range
+rebalancing: every N routed updates a hot shard's range is split at
+its sampled median key and the affected facts (and pending verdicts)
+migrate at a fence.
 """
 
 from __future__ import annotations
@@ -247,10 +247,6 @@ def _build_remote_link(args: argparse.Namespace, remote_site, rate=None):
         or args.remote_timeout is not None
     )
     if not faulty and args.retries is None:
-        if getattr(args, "overlap_remote", False):
-            # Overlap needs a link (the async queue lives there) even
-            # with a perfectly healthy remote.
-            return RemoteLink(remote_site)
         return None
     try:
         faults = FaultModel(
@@ -316,7 +312,7 @@ def _build_sites(args: argparse.Namespace, db: Database, local_predicates: set[s
     ``remoteN-1``."""
     from repro.distributed.site import FederatedDatabase, Site
 
-    total = args.sites if getattr(args, "sites", None) else 2
+    total = args.sites
     if total < 2:
         raise ReproError("--sites needs at least 2 (one local, one remote)")
     local = Site("local", db.restricted_to(local_predicates))
@@ -388,9 +384,8 @@ _MAX_DRAIN_ROUNDS = 100
 def _journal_flag_conflicts(args: argparse.Namespace) -> None:
     """Reject ``--journal`` combinations the journal cannot serialize.
 
-    Parallel segments, process-pool workers, and overlapped escalation
-    futures all journal now (effects are emitted at settle time and
-    committed in arrival order through the
+    Parallel segments and process-pool workers journal (effects are
+    emitted at settle time and committed in arrival order through the
     :class:`~repro.durability.journal.OrderedJournalCommitter`).  What
     remains out: transactional rollback (a rolled-back prefix has no
     durable meaning) and the federation snapshot cache (a snapshot-served
@@ -430,7 +425,6 @@ def _journal_config(args: argparse.Namespace, constraints, local_predicates):
         "shard_by": sorted(args.shard_by or ()),
         "parallel": args.parallel or 0,
         "executor": args.executor,
-        "overlap_remote": bool(args.overlap_remote),
         "apply_on_unknown": not args.pessimistic,
         "rebalance": args.rebalance or 0,
         "faults": {
@@ -573,23 +567,6 @@ def _restore_into(checker, recovered, link) -> None:
         link.restore_state(recovered.link_state)
 
 
-def _journal_future_patches(checker, writer) -> None:
-    """Journal which pending entries' overlapped escalation futures have
-    landed (one ``"fp"`` record per landed future).
-
-    An ``--overlap-remote`` run journals a deferred update *at settle
-    time* with a future-pending marker — the fetch is still in flight.
-    Once :meth:`~repro.distributed.remote.RemoteLink.wait_inflight`
-    returns, the landed futures' results exist, and the patch records
-    let a journal-tail-only recovery mark those descriptors resolved
-    (the resumed drain re-fetches synchronously either way; the marker
-    preserves what the crashed run knew)."""
-    for session in checker.sessions:
-        for entry in session._pending:
-            if entry.future is not None and entry.future.done():
-                writer.record_future_patch(entry.seq)
-
-
 def _stream_status(reports, pessimistic: bool) -> tuple[str, bool]:
     """The per-update verdict line's status text (shared by the live
     stream loop and the ``--resume`` journal echo, so a resumed run's
@@ -721,11 +698,6 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
                 "--shard-by needs --shards: it splits a predicate across "
                 "the shards"
             )
-    if args.executor == "process" and args.overlap_remote:
-        raise ReproError(
-            "--overlap-remote needs the thread executor: an async fetch "
-            "future cannot cross the process boundary"
-        )
     if args.executor == "process" and args.transaction:
         raise ReproError(
             "--transaction needs the thread executor: the worker processes "
@@ -753,7 +725,6 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
             remote_links=remote_links,
             snapshot_ttl=args.snapshot_ttl,
             parallelism=1 if args.parallel is None else args.parallel,
-            overlap_remote=args.overlap_remote,
             executor=args.executor,
             rebalance=(
                 RebalancePolicy(interval=args.rebalance)
@@ -765,7 +736,7 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ReproError(str(exc)) from exc
     # The checker may have promoted the per-site links into a single
-    # FederationLink; tear down whatever it actually escalates through.
+    # FederationLink; journal and report whatever it escalates through.
     link = checker.remote_link
     writer = None
     if args.journal:
@@ -841,13 +812,6 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
                     for report in reports:
                         print(f"    {report}")
         if writer is not None:
-            if link is not None and args.overlap_remote:
-                # Close the overlap window first: once the in-flight
-                # escalation futures land, journal a future-patch record
-                # per landed future, so a resume from the journal alone
-                # knows those pending records' fetches completed.
-                link.wait_inflight()
-                _journal_future_patches(checker, writer)
             # End-of-stream manifest *before* the drain: drains are never
             # journalled (resume re-drains deterministically), so a crash
             # anywhere in the drain resumes from here.
@@ -855,11 +819,6 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
         if checker.pending_count:
             print()
             print(f"resolving {checker.pending_count} deferred verdict(s)...")
-            if link is not None and args.overlap_remote:
-                # Let the in-flight escalation futures land so the drain
-                # can settle from their results instead of breaking on
-                # them (a no-op when the journal block above waited).
-                link.wait_inflight()
             settled, remaining = _drain_pending(checker)
             for update, reports in settled:
                 rejected = any(r.outcome is Outcome.VIOLATED for r in reports)
@@ -894,8 +853,6 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
         print(f"{label:<{width}}  {value}")
     if link is not None:
         from repro.distributed.remote import FederationLink
-
-        link.close()
 
         def _print_rows(rows):
             width = max(len(label) for label, _ in rows)
@@ -1069,13 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--snapshot-ttl", type=float, default=None, metavar="SECS",
         help="cache each remote site's fetched snapshot for SECS "
-        "simulated seconds on the federated link (default: no cache)",
-    )
-    stream.add_argument(
-        "--overlap-remote", action="store_true",
-        help="issue remote escalations asynchronously: the update "
-        "defers immediately and the stream keeps flowing while the "
-        "fetch is in flight (settled by the post-stream drain)",
+        "simulated seconds on the site's link clock (default: no cache)",
     )
     faults = stream.add_argument_group(
         "fault simulation",

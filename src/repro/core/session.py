@@ -49,7 +49,7 @@ from repro.core.outcomes import CheckLevel, CheckReport, Outcome
 from repro.core.transaction import Transaction, rollback_token
 from repro.datalog.database import Database, Delta, UndoToken, merged_view
 from repro.datalog.evaluation import Materialization, MaterializationUndo
-from repro.errors import RemoteUnavailableError
+from repro.errors import RemoteUnavailableError, ReproError
 from repro.updates.update import Insertion, Modification, Update
 
 __all__ = [
@@ -167,7 +167,23 @@ class SessionStats:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SessionStats":
-        return cls(**payload)
+        return counters_from_dict(cls, payload)
+
+
+def counters_from_dict(cls, payload: dict):
+    """Build the counter dataclass *cls* from its checkpoint dict.
+
+    A key *cls* has no field for (a checkpoint written by a build with
+    other counters) is a typed :class:`~repro.errors.ReproError` naming
+    it, not a raw ``TypeError``.
+    """
+    unknown = sorted(set(payload) - {spec.name for spec in fields(cls)})
+    if unknown:
+        raise ReproError(
+            f"checkpoint {cls.__name__} carries counter(s) this build does "
+            f"not know: {', '.join(unknown)}"
+        )
+    return cls(**payload)
 
 
 @dataclass
@@ -189,13 +205,6 @@ class PendingVerdict:
     reports: dict[str, CheckReport]
     applied: bool
     token: Optional[UndoToken] = None
-    #: overlapped escalation: the in-flight fetch future issued when this
-    #: entry deferred (``RemoteLink.fetch_nowait``), consumed by the drain
-    future: Optional[object] = None
-    #: the predicate restriction the future's fetch was issued with
-    #: (``None`` = unrestricted, covers everything); a settle whose needs
-    #: exceed it discards the future and fetches synchronously
-    future_predicates: Optional[frozenset] = None
 
     @property
     def resolved(self) -> bool:
@@ -485,8 +494,6 @@ class CheckSession:
         # raises RemoteUnavailableError degrades the unresolved verdicts
         # to DEFERRED instead of crashing the stream; the update is then
         # queued for resolve_pending().
-        defer_future = None
-        defer_future_predicates: Optional[frozenset] = None
         if pending_unknown:
             remote_db: Optional[Database] = None
             peer_db: Optional[Database] = None
@@ -506,14 +513,6 @@ class CheckSession:
                     remote_db = _fetch_remote(remote, needed)
                 except RemoteUnavailableError as exc:
                     unreachable = exc
-                    # An overlapped link raises with the fetch still in
-                    # flight; remember the future so the drain can settle
-                    # from its result instead of re-fetching.
-                    defer_future = getattr(exc, "future", None)
-                    if defer_future is not None:
-                        defer_future_predicates = getattr(
-                            exc, "predicates", None
-                        )
                 else:
                     # A Database handed in directly (e.g. by the
                     # resolve_pending drain, which fetched it itself and
@@ -580,11 +579,7 @@ class CheckSession:
                 # transaction the DEFERRED verdict aborts the transaction
                 # instead; a held retry after the abort would resurrect a
                 # rolled-back update.)
-                self._queue_pending(
-                    update, deferred, reports, applied=False,
-                    future=defer_future,
-                    future_predicates=defer_future_predicates,
-                )
+                self._queue_pending(update, deferred, reports, applied=False)
         else:
             self.stats.applied += 1
             if transaction is not None:
@@ -599,9 +594,7 @@ class CheckSession:
                 self.stats.deferred_remote += 1
                 if transaction is None:
                     self._queue_pending(
-                        update, deferred, reports, applied=True, token=token,
-                        future=defer_future,
-                        future_predicates=defer_future_predicates,
+                        update, deferred, reports, applied=True, token=token
                     )
         if record and self.effect_log is not None:
             applied_now = not (rejected or held or not apply_when_safe)
@@ -755,8 +748,6 @@ class CheckSession:
         reports: dict[str, CheckReport],
         applied: bool,
         token: Optional[UndoToken] = None,
-        future: Optional[object] = None,
-        future_predicates: Optional[frozenset] = None,
     ) -> None:
         self._pending.append(
             PendingVerdict(
@@ -766,8 +757,6 @@ class CheckSession:
                 reports=dict(reports),
                 applied=applied,
                 token=token,
-                future=future,
-                future_predicates=future_predicates,
             )
         )
 
@@ -925,42 +914,10 @@ class CheckSession:
         against today's state — the fetch covers every remote predicate
         any constraint on the entry's relation could escalate for.
         Raises :class:`~repro.errors.RemoteUnavailableError` (leaving the
-        entry queued) when the remote stays unreachable, or when the
-        entry's overlapped escalation future is still in flight — the
-        drain must not settle from data it does not have yet.
-
-        An entry carrying a completed future settles from that result as
-        long as the future's predicate restriction covers today's needs
-        (an unrestricted fetch always does); a too-narrow snapshot would
-        silently treat the missing relations as empty, so it is discarded
-        and the settle falls back to a synchronous fetch.  A future that
-        *failed* is cleared too — the next drain round re-fetches.
+        entry queued) when the remote stays unreachable.
         """
         entry = self._pending[position]
-        needed = self._entry_needed_predicates(entry)
-        remote_db: Optional[Database] = None
-        future = entry.future
-        if future is not None:
-            covered = (
-                entry.future_predicates is None
-                or needed <= set(entry.future_predicates)
-            )
-            if not covered:
-                entry.future = None
-                entry.future_predicates = None
-            elif not future.done():
-                raise RemoteUnavailableError(
-                    "escalation fetch still in flight", reason="in-flight"
-                )
-            else:
-                entry.future = None
-                entry.future_predicates = None
-                # Raises RemoteUnavailableError on a failed fetch, which
-                # stops the drain exactly like a synchronous failure; the
-                # cleared future makes the next round fetch fresh.
-                remote_db = future.result()
-        if remote_db is None:
-            remote_db = _fetch_remote(remote, needed)
+        remote_db = _fetch_remote(remote, self._entry_needed_predicates(entry))
         self.stats.remote_fetches += 1
         self._pending.pop(position)
         quarantined.pop(entry.seq, None)

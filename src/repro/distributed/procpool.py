@@ -454,8 +454,7 @@ def _cmd_drain_end() -> dict:
 
 def _cmd_extract_range(predicate: str, lo, hi) -> dict:
     """Worker wrapper over :func:`repro.distributed.rebalance.extract_range`
-    (pure-data result: facts and entry descriptions pickle as-is — the
-    boundary remote never hands a worker entry a live future)."""
+    (pure-data result: facts and entry descriptions pickle as-is)."""
     return extract_range(_WORKER["session"], predicate, lo, hi)
 
 
@@ -469,16 +468,10 @@ def _cmd_inject_range(
 def _cmd_dump_state() -> dict:
     """The worker's whole rebuildable state, for the parent's
     supervision baseline: the current facts (applied optimistic deltas
-    included), the pending queue verbatim (entries are pure data here —
-    undo tokens are plain fact-set dicts, and a worker entry never
-    carries a fetch future because its remote source always raises),
-    and the session stats snapshot."""
+    included), the pending queue verbatim (entries are pure data —
+    undo tokens are plain fact-set dicts), and the session stats
+    snapshot."""
     session = _WORKER["session"]
-    for entry in session._pending:
-        if entry.future is not None:
-            raise RuntimeError(
-                "worker pending entry carries a future (boundary bug)"
-            )
     return {
         "facts": _cmd_dump_facts(None),
         "pending": list(session._pending),
@@ -506,14 +499,9 @@ def _cmd_set_journal(on: bool) -> None:
 
 def _cmd_checkpoint_state() -> dict:
     """The manifest-shaped slice of worker state: the pending queue
-    (pure data — a worker entry never carries a live future), the
-    session stats, and the last arrival seq stamped on this worker."""
+    (pure data), the session stats, and the last arrival seq stamped on
+    this worker."""
     session = _WORKER["session"]
-    for entry in session._pending:
-        if entry.future is not None:
-            raise RuntimeError(
-                "worker pending entry carries a future (boundary bug)"
-            )
     return {
         "pending": list(session._pending),
         "stats": session.stats,
@@ -900,7 +888,7 @@ class ProcessShardRunner:
             return out["reports"], False, effect
         try:
             remote_db = _fetch_remote(
-                self.checker._drain_source, set(out["needed"])
+                self.checker.remote_source, set(out["needed"])
             )
         except RemoteUnavailableError as exc:
             if out["queued"]:
@@ -1048,7 +1036,7 @@ class ProcessShardRunner:
                     continue
                 try:
                     remote_db = _fetch_remote(
-                        checker._drain_source, set(desc["needed"])
+                        checker.remote_source, set(desc["needed"])
                     )
                 except RemoteUnavailableError as exc:
                     failed = set(exc.sites) or set(desc["sites"])

@@ -313,8 +313,6 @@ def extract_range(
                     "unresolved": entry.unresolved,
                     "reports": entry.reports,
                     "applied": entry.applied,
-                    "future": entry.future,
-                    "future_predicates": entry.future_predicates,
                 }
             )
         else:
@@ -356,8 +354,6 @@ def replay_entries(session: CheckSession, entries: Sequence[dict]) -> None:
                 reports=dict(desc["reports"]),
                 applied=desc["applied"],
                 token=token,
-                future=desc.get("future"),
-                future_predicates=desc.get("future_predicates"),
             )
         )
     merged = sorted(

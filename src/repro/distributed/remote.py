@@ -22,22 +22,13 @@ degrades to a DEFERRED verdict instead of crashing the stream.  Nothing
 sleeps — backoff waits and attempt latencies accumulate on a simulated
 clock, which the benchmarks read as verdict latency.
 
-Two concurrency affordances sit on top of that policy:
-
-* the link is **thread-safe**: breaker state, statistics, and the clock
-  are guarded by one lock, while the actual ``snapshot`` calls are
-  serialized on a separate I/O lock — the link models one connection to
-  one remote site, so attempts form a total order (which is also what
-  makes "consecutive failures" well-defined) and the wrapped remote
-  never sees concurrent access;
-* :meth:`RemoteLink.fetch_nowait` is the **async escalation queue**: it
-  submits the fetch to a small worker pool and raises
-  :class:`RemoteFetchInFlight` (a :class:`RemoteUnavailableError`
-  carrying the future) immediately, so a slow-but-healthy remote no
-  longer blocks the stream — covered updates keep flowing and the
-  deferred entry settles from the future's result in arrival order
-  through the ordinary ``PendingVerdict`` / ``resolve_pending``
-  machinery.
+The link is **thread-safe**: breaker state, statistics, and the clock
+are guarded by one lock, while the actual ``snapshot`` calls are
+serialized on a separate I/O lock — the link models one connection to
+one remote site, so attempts form a total order (which is also what
+makes "consecutive failures" well-defined) and the wrapped remote never
+sees concurrent access.  Every fetch blocks its caller: the remote's
+cost is simulated, so there is no wait for a background fetch to hide.
 """
 
 from __future__ import annotations
@@ -45,12 +36,11 @@ from __future__ import annotations
 import enum
 import random
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import wait as _futures_wait
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Optional, Protocol
 
 from repro.constraints.classify import group_predicates_by_site
+from repro.core.session import counters_from_dict
 from repro.datalog.database import Database
 from repro.errors import RemoteUnavailableError
 
@@ -59,36 +49,10 @@ __all__ = [
     "FederationLink",
     "FetchPolicy",
     "LinkStats",
-    "RemoteFetchInFlight",
     "RemoteLink",
     "RemoteSite",
     "resolve_escalation_link",
 ]
-
-
-class RemoteFetchInFlight(RemoteUnavailableError):
-    """The fetch was *issued* but has not completed — data unavailable now.
-
-    Raised by :meth:`RemoteLink.fetch_nowait` as soon as the fetch is on
-    the async pool: semantically the caller cannot have the snapshot
-    *yet*, so the protocol layer takes its ordinary DEFERRED path, but
-    :attr:`future` rides along on the queued
-    :class:`~repro.core.session.PendingVerdict` and the drain settles
-    from its result (or discards it, if the settle needs more predicates
-    than :attr:`predicates` covered) instead of re-fetching.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        future: "Future[Database]",
-        predicates: Iterable[str] | None = None,
-    ) -> None:
-        super().__init__(message, reason="in-flight")
-        self.future = future
-        self.predicates = (
-            frozenset(predicates) if predicates is not None else None
-        )
 
 
 class RemoteSite(Protocol):
@@ -168,9 +132,6 @@ class LinkStats:
     breaker_opens: int = 0
     breaker_half_opens: int = 0
     breaker_closes: int = 0
-    #: fetches issued asynchronously via :meth:`RemoteLink.fetch_nowait`
-    #: (each also counts as an ordinary fetch when its worker runs)
-    fetches_async: int = 0
     #: simulated seconds spent waiting in backoff
     backoff_waited: float = 0.0
     #: simulated seconds spent on attempt latency
@@ -179,7 +140,6 @@ class LinkStats:
     def summary_rows(self) -> list[tuple[str, object]]:
         return [
             ("remote fetches", self.fetches),
-            ("remote fetches async (overlapped)", self.fetches_async),
             ("remote fetches ok", self.fetches_ok),
             ("remote fetches failed", self.fetches_failed),
             ("remote fast-fails (breaker open)", self.fetches_fast_failed),
@@ -200,7 +160,7 @@ class LinkStats:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LinkStats":
-        return cls(**payload)
+        return counters_from_dict(cls, payload)
 
 
 class RemoteLink:
@@ -213,12 +173,10 @@ class RemoteLink:
     report verdict latency without sleeping.
 
     The link is safe to call from multiple threads.  Breaker state,
-    statistics, the rng, and the clock live under one re-entrant lock;
+    statistics, the rng, and the clock live under one lock;
     the wrapped remote's ``snapshot`` calls are serialized on a separate
     I/O lock (one link ~ one connection), so attempt outcomes form a
     total order and "consecutive failures" keeps its serial meaning.
-    ``fetch_nowait`` overlaps a fetch with the caller's own work by
-    running ``fetch`` on a small internal worker pool.
     """
 
     def __init__(
@@ -226,10 +184,7 @@ class RemoteLink:
         remote: RemoteSite,
         policy: Optional[FetchPolicy] = None,
         seed: int = 0,
-        async_workers: int = 2,
     ) -> None:
-        if async_workers < 1:
-            raise ValueError("async_workers must be at least 1")
         self.remote = remote
         self.policy = policy if policy is not None else FetchPolicy()
         self.stats = LinkStats()
@@ -240,16 +195,10 @@ class RemoteLink:
         self._open_fetches = 0
         # Fault-aware remotes take a per-attempt timeout; plain Sites don't.
         self._supports_timeout = hasattr(remote, "last_latency")
-        #: guards breaker/stats/clock/rng bookkeeping (re-entrant: the
-        #: in-flight condition below shares it)
-        self._lock = threading.RLock()
+        #: guards breaker/stats/clock/rng bookkeeping
+        self._lock = threading.Lock()
         #: serializes the actual ``remote.snapshot`` calls
         self._io_lock = threading.Lock()
-        self._async_workers = async_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._closed = False
-        self._inflight = 0
-        self._inflight_cond = threading.Condition(self._lock)
 
     # -- breaker ----------------------------------------------------------------
     @property
@@ -368,85 +317,6 @@ class RemoteLink:
             reason="exhausted",
         )
 
-    # -- overlapped (async) fetching --------------------------------------------
-    def fetch_nowait(
-        self, predicates: Iterable[str] | None = None
-    ) -> Database:
-        """Issue a fetch without waiting for it; always raises.
-
-        An open, still-cooling breaker fast-fails synchronously exactly
-        like :meth:`fetch` (queueing a fetch the breaker would reject is
-        pointless).  Otherwise the fetch is submitted to the link's
-        worker pool and :class:`RemoteFetchInFlight` is raised carrying
-        the future — the caller defers the update and the drain settles
-        it from the future's result.  Drains themselves must use the
-        blocking :meth:`fetch` as their source, never this method.
-        """
-        predicates = frozenset(predicates) if predicates is not None else None
-        policy = self.policy
-        with self._lock:
-            if self._closed:
-                # A closed link must not resurrect its worker pool: the
-                # caller raced close() and loses deterministically, with
-                # the same degrade-to-DEFERRED surface as any other
-                # unavailability.
-                raise RemoteUnavailableError(
-                    "remote link is closed", reason="closed"
-                )
-            if (
-                self._state is BreakerState.OPEN
-                and self._open_fetches < policy.cooldown_fetches
-            ):
-                self.stats.fetches += 1
-                self._open_fetches += 1
-                self.stats.fetches_fast_failed += 1
-                raise RemoteUnavailableError(
-                    f"circuit breaker open ({self._open_fetches}/"
-                    f"{policy.cooldown_fetches} of cooldown)",
-                    reason="circuit-open",
-                )
-            self.stats.fetches_async += 1
-            self._inflight += 1
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._async_workers,
-                    thread_name_prefix="remote-fetch",
-                )
-            # Submit while still holding the lock: close() swaps the pool
-            # handle out under the same lock before shutting it down, so
-            # a submit can never hit an already-shut-down executor
-            # (previously a RuntimeError escaping the link's surface).
-            try:
-                future = self._pool.submit(self.fetch, predicates=predicates)
-            except BaseException:
-                self._inflight -= 1
-                self._inflight_cond.notify_all()
-                raise
-        future.add_done_callback(self._fetch_settled)
-        raise RemoteFetchInFlight(
-            "escalation fetch issued asynchronously; result pending",
-            future,
-            predicates,
-        )
-
-    def _fetch_settled(self, _future: "Future[Database]") -> None:
-        with self._inflight_cond:
-            self._inflight -= 1
-            self._inflight_cond.notify_all()
-
-    @property
-    def inflight(self) -> int:
-        """Async fetches issued but not yet completed."""
-        with self._lock:
-            return self._inflight
-
-    def wait_inflight(self, timeout: Optional[float] = None) -> bool:
-        """Block until every async fetch has completed (or timeout)."""
-        with self._inflight_cond:
-            return self._inflight_cond.wait_for(
-                lambda: self._inflight == 0, timeout=timeout
-            )
-
     # -- durability --------------------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-serializable mutable state for checkpoint manifests.
@@ -485,43 +355,24 @@ class RemoteLink:
             if "remote" in state and hasattr(self.remote, "restore_state"):
                 self.remote.restore_state(state["remote"])
 
-    def close(self) -> None:
-        """Shut down the async worker pool, waiting for in-flight fetches.
-
-        Deterministic under concurrent :meth:`fetch_nowait` callers: a
-        caller that acquired the lock before the close got its fetch
-        submitted and ``close`` **waits** for it (already-queued fetches
-        run to completion, so their futures settle normally and every
-        stats write happens before ``close`` returns); a caller that
-        arrives after the close is rejected with reason ``"closed"`` —
-        the pool is never lazily resurrected on a closed link.
-        Idempotent: the pool handle is swapped out under the lock before
-        shutdown, so a second (or concurrent) close finds nothing to do.
-        """
-        with self._lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
 
 class FederationLink:
     """Fan-out escalation across N per-site :class:`RemoteLink`\\ s.
 
     The protocol layer keeps seeing one remote-source surface —
-    ``fetch(predicates=...)`` / ``fetch_nowait`` / ``wait_inflight`` /
-    ``close`` — while underneath each fetch is *split by owning site*
-    (via the federation's placement) and issued to every involved site's
-    own link, each with its own retry/backoff/breaker policy and fault
-    model.  Three things distinguish the federated surface:
+    ``fetch(predicates=...)`` / ``stats`` — while underneath each fetch
+    is *split by owning site* (via the federation's placement) and
+    issued to every involved site's own link, each with its own
+    retry/backoff/breaker policy and fault model.  Three things
+    distinguish the federated surface:
 
-    * **parallel fan-out** (default): the per-site fetches of one
-      escalation ride each link's existing ``fetch_nowait`` worker pool
-      concurrently, so one slow site no longer serializes the others.
-      On the simulated clock the escalation costs the *maximum* of the
-      per-site latency deltas instead of their sum (``parallel=False``
-      keeps the sequential sum, for comparison — the M7 benchmark
-      measures the gap).
+    * **fan-out on the simulated clock**: the per-site fetches of one
+      escalation run one after another on the calling thread, but the
+      federation clock charges the escalation the *maximum* of the
+      per-site latency deltas — the cost of sites answering
+      concurrently — while each site's own link clock carries its
+      share (the M7 benchmark compares the federation clock with the
+      sum of the link clocks).
     * **partial-failure attribution**: when some sites answer and others
       do not, the raised :class:`~repro.errors.RemoteUnavailableError`
       carries ``sites`` naming exactly the failed ones, and the answers
@@ -540,17 +391,19 @@ class FederationLink:
         self,
         links: Mapping[str, RemoteLink],
         site_of: Callable[[str], Optional[str]],
-        parallel: bool = True,
         snapshot_ttl: Optional[float] = None,
     ) -> None:
         if not links:
             raise ValueError("a federation link needs at least one site link")
+        if snapshot_ttl is not None and not snapshot_ttl >= 0:
+            raise ValueError(
+                f"snapshot_ttl must be non-negative (got {snapshot_ttl})"
+            )
         self.links: dict[str, RemoteLink] = dict(links)
         self.site_of = site_of
-        self.parallel = parallel
         self.snapshot_ttl = snapshot_ttl
         #: simulated federation clock: each escalation adds the max of
-        #: its per-site latency deltas when parallel, the sum otherwise
+        #: its per-site latency deltas
         self.clock = 0.0
         #: multi-site escalations issued / per-site fetches they fanned
         #: out to / snapshot-cache accounting
@@ -561,7 +414,6 @@ class FederationLink:
         self._lock = threading.Lock()
         #: site -> (link clock at fetch, covered predicates or None, db)
         self._cache: dict[str, tuple[float, Optional[frozenset], Database]] = {}
-        self._composites: set[Future] = set()
 
     # -- plumbing ---------------------------------------------------------------
     def _split(self, predicates: Iterable[str] | None) -> dict[str, Optional[frozenset]]:
@@ -652,156 +504,39 @@ class FederationLink:
         """Fetch (and merge) the snapshots of every site the restriction
         touches; raises with ``sites`` naming the failed subset.
 
-        With ``parallel`` (the default) the per-site fetches of a multi-
-        site escalation run concurrently on the links' worker pools and
-        the federation clock advances by the slowest site, not the sum.
-        Every site is attempted even after another has failed, so the
-        failure attribution is complete and the successes are cached.
+        The sites are fetched one after another and the federation clock
+        advances by the slowest site's latency delta.  Every site is
+        attempted even after another has failed, so the failure
+        attribution is complete and the successes are cached.
         """
         groups = self._split(predicates)
         results, misses = self._serve_cached(groups)
         failures: dict[str, RemoteUnavailableError] = {}
         deltas: dict[str, float] = {}
-        if len(misses) > 1:
-            with self._lock:
-                self.fanouts += 1
-                self.fanout_fetches += len(misses)
-        if len(misses) > 1 and self.parallel:
-            pending: dict[str, Future] = {}
-            befores: dict[str, float] = {}
-            for site in misses:
-                link = self.links[site]
-                befores[site] = link.clock
-                try:
-                    link.fetch_nowait(predicates=self._restriction(groups[site]))
-                except RemoteFetchInFlight as exc:
-                    pending[site] = exc.future
-                except RemoteUnavailableError as exc:
-                    failures[site] = exc
-                    deltas[site] = link.clock - befores[site]
-            for site, future in pending.items():
-                link = self.links[site]
-                try:
-                    db = future.result()
-                except RemoteUnavailableError as exc:
-                    failures[site] = exc
-                else:
-                    results[site] = db
-                    self._store(site, groups[site], db)
-                deltas[site] = link.clock - befores[site]
-        else:
-            for site in misses:
-                link = self.links[site]
-                before = link.clock
-                try:
-                    db = link.fetch(predicates=self._restriction(groups[site]))
-                except RemoteUnavailableError as exc:
-                    failures[site] = exc
-                else:
-                    results[site] = db
-                    self._store(site, groups[site], db)
-                deltas[site] = link.clock - before
-        self._advance(deltas)
-        if failures:
-            raise self._failure(failures, len(groups))
-        return self._merge(groups, results)
-
-    @staticmethod
-    def _restriction(wanted: Optional[frozenset]) -> Optional[list[str]]:
-        return sorted(wanted) if wanted is not None else None
-
-    def _advance(self, deltas: dict[str, float]) -> None:
-        if not deltas:
-            return
-        cost = max(deltas.values()) if self.parallel else sum(deltas.values())
-        with self._lock:
-            self.clock += cost
-
-    def fetch_nowait(self, predicates: Iterable[str] | None = None) -> Database:
-        """Issue the fan-out without waiting for it.
-
-        Per-site fetches go to each involved link's async queue; a
-        composite future completes with the merged database once *every*
-        site has answered (or fails carrying the failed ``sites``), and
-        :class:`RemoteFetchInFlight` is raised with it so the caller's
-        DEFERRED path works exactly as with a single link.  Degenerate
-        cases stay synchronous: a fully cache-served plan returns the
-        merged database outright, and a plan whose every site fast-fails
-        (open breakers) raises immediately.
-        """
-        predicates = frozenset(predicates) if predicates is not None else None
-        groups = self._split(predicates)
-        results, misses = self._serve_cached(groups)
-        failures: dict[str, RemoteUnavailableError] = {}
-        pending: dict[str, Future] = {}
-        befores: dict[str, float] = {}
         if len(misses) > 1:
             with self._lock:
                 self.fanouts += 1
                 self.fanout_fetches += len(misses)
         for site in misses:
             link = self.links[site]
-            befores[site] = link.clock
+            before = link.clock
+            wanted = groups[site]
             try:
-                link.fetch_nowait(predicates=self._restriction(groups[site]))
-            except RemoteFetchInFlight as exc:
-                pending[site] = exc.future
+                db = link.fetch(
+                    predicates=sorted(wanted) if wanted is not None else None
+                )
             except RemoteUnavailableError as exc:
                 failures[site] = exc
-        if not pending:
-            if failures:
-                raise self._failure(failures, len(groups))
-            return self._merge(groups, results)
-
-        composite: Future = Future()
-        composite.set_running_or_notify_cancel()
-        with self._lock:
-            self._composites.add(composite)
-        state = {"remaining": len(pending)}
-        state_lock = threading.Lock()
-        deltas: dict[str, float] = {}
-
-        def finish() -> None:
-            self._advance(deltas)
-            with self._lock:
-                self._composites.discard(composite)
-            if failures:
-                composite.set_exception(self._failure(failures, len(groups)))
             else:
-                composite.set_result(self._merge(groups, results))
-
-        def make_callback(site: str) -> Callable[[Future], None]:
-            def on_done(future: Future) -> None:
-                link = self.links[site]
-                try:
-                    db = future.result()
-                except RemoteUnavailableError as exc:
-                    failures[site] = exc
-                except BaseException as exc:  # pragma: no cover - defensive
-                    failures[site] = RemoteUnavailableError(
-                        f"site {site!r} fetch worker died: {exc}",
-                        reason="worker-error",
-                        sites=[site],
-                    )
-                else:
-                    results[site] = db
-                    self._store(site, groups[site], db)
-                deltas[site] = link.clock - befores[site]
-                with state_lock:
-                    state["remaining"] -= 1
-                    last = state["remaining"] == 0
-                if last:
-                    finish()
-
-            return on_done
-
-        for site, future in pending.items():
-            future.add_done_callback(make_callback(site))
-        raise RemoteFetchInFlight(
-            "federated escalation fetch issued asynchronously; result pending",
-            composite,
-            predicates,
-        )
+                results[site] = db
+                self._store(site, wanted, db)
+            deltas[site] = link.clock - before
+        if deltas:
+            with self._lock:
+                self.clock += max(deltas.values())
+        if failures:
+            raise self._failure(failures, len(groups))
+        return self._merge(groups, results)
 
     # -- aggregate accounting / lifecycle ----------------------------------------
     @property
@@ -829,10 +564,6 @@ class FederationLink:
     def available(self) -> bool:
         """Would a fan-out right now at least try every site?"""
         return all(link.available for link in self.links.values())
-
-    @property
-    def inflight(self) -> int:
-        return sum(link.inflight for link in self.links.values())
 
     def summary_rows(self) -> list[tuple[str, object]]:
         rows = self.stats.summary_rows()
@@ -872,55 +603,32 @@ class FederationLink:
         self.cache_hits = state["cache_hits"]
         self.cache_misses = state["cache_misses"]
 
-    def wait_inflight(self, timeout: Optional[float] = None) -> bool:
-        """Block until every site's async fetches *and* every composite
-        fan-out future have completed (or timeout)."""
-        ok = True
-        for link in self.links.values():
-            ok = link.wait_inflight(timeout) and ok
-        with self._lock:
-            composites = list(self._composites)
-        if composites:
-            _done, not_done = _futures_wait(composites, timeout=timeout)
-            ok = ok and not not_done
-        return ok
-
-    def close(self) -> None:
-        """Shut down every site link's worker pool (idempotent)."""
-        for link in self.links.values():
-            link.close()
-
 
 def resolve_escalation_link(
     sites,
     remote_links: Optional[Mapping[str, RemoteLink]] = None,
-    parallel_fanout: bool = True,
     snapshot_ttl: Optional[float] = None,
 ) -> Optional[RemoteLink | FederationLink]:
     """The escalation link for a
     :class:`~repro.distributed.site.FederatedDatabase` *sites*.
 
-    With a single remote its entry in *remote_links* is used as-is, and
-    ``None`` (no entry) means the checker fetches from the raw metered
-    ``snapshot`` of the site.  With several remotes the result is always
-    a :class:`FederationLink`: each site gets its entry from
-    *remote_links* or, when absent, a default fault-free
-    :class:`RemoteLink` wrapper.
+    With a single remote and no *snapshot_ttl* its entry in
+    *remote_links* is used as-is, and ``None`` (no entry) means the
+    checker fetches from the raw metered ``snapshot`` of the site.
+    Otherwise the result is a :class:`FederationLink` — with one remote,
+    a one-site federation, which is where the snapshot cache lives: each
+    site gets its entry from *remote_links* or, when absent, a default
+    fault-free :class:`RemoteLink` wrapper.
     """
     remotes = sites.remotes
     remote_links = remote_links or {}
     unknown = set(remote_links) - set(remotes)
     if unknown:
         raise ValueError(f"remote_links names unknown sites: {sorted(unknown)}")
-    if len(remotes) == 1:
+    if len(remotes) == 1 and snapshot_ttl is None:
         return remote_links.get(next(iter(remotes)))
     links = {
         name: remote_links.get(name) or RemoteLink(site)
         for name, site in remotes.items()
     }
-    return FederationLink(
-        links,
-        sites.site_of,
-        parallel=parallel_fanout,
-        snapshot_ttl=snapshot_ttl,
-    )
+    return FederationLink(links, sites.site_of, snapshot_ttl=snapshot_ttl)

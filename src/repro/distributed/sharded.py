@@ -260,10 +260,8 @@ class ShardedChecker:
         use_interval_datalog: bool = False,
         apply_on_unknown: bool = True,
         parallelism: int = 1,
-        overlap_remote: bool = False,
         session_factory: Optional[Callable[..., CheckSession]] = None,
         remote_links: Optional[Mapping[str, RemoteLink]] = None,
-        parallel_fanout: bool = True,
         snapshot_ttl: Optional[float] = None,
         executor: str = "thread",
         rebalance: Optional[RebalancePolicy | bool] = None,
@@ -276,27 +274,14 @@ class ShardedChecker:
             raise ValueError(
                 f"executor must be 'thread' or 'process', got {executor!r}"
             )
-        if executor == "process":
-            if overlap_remote:
-                raise ValueError(
-                    "overlap_remote requires the thread executor: an async "
-                    "fetch future cannot cross the process boundary"
-                )
-            if session_factory is not None:
-                raise ValueError(
-                    "session_factory requires the thread executor: live "
-                    "sessions cannot cross the process boundary"
-                )
-        resolved = resolve_escalation_link(
-            sites, remote_links,
-            parallel_fanout=parallel_fanout,
-            snapshot_ttl=snapshot_ttl,
-        )
-        if overlap_remote and resolved is None:
+        if executor == "process" and session_factory is not None:
             raise ValueError(
-                "overlap_remote needs a RemoteLink (the raw site has no "
-                "async fetch queue)"
+                "session_factory requires the thread executor: live "
+                "sessions cannot cross the process boundary"
             )
+        resolved = resolve_escalation_link(
+            sites, remote_links, snapshot_ttl=snapshot_ttl
+        )
         self.sites = sites
         self.site_predicates = frozenset(sites.local_predicates)
         if partitioner is None:
@@ -311,7 +296,6 @@ class ShardedChecker:
         self.apply_on_unknown = apply_on_unknown
         self.remote_link = resolved
         self.parallelism = parallelism
-        self.overlap_remote = overlap_remote
         self.executor = executor
         self.stats = ProtocolStats()
         #: named crash-point injector (chaos testing; see faults.py)
@@ -555,26 +539,13 @@ class ShardedChecker:
 
     @property
     def remote_source(self) -> Callable[..., Database]:
-        """Off-site escalation: the fault-tolerant link when configured,
-        the raw metered remote site otherwise.  With ``overlap_remote``
-        the in-stream source is the link's async queue — a slow-but-
-        healthy fetch defers the update (future in tow) instead of
-        stalling the stream."""
+        """Off-site escalation, in the stream and in the drain alike: the
+        fault-tolerant link when configured, the raw metered remote site
+        otherwise."""
         if self.remote_link is not None:
-            if self.overlap_remote:
-                return self.remote_link.fetch_nowait
             return self.remote_link.fetch
         # No link resolves only in the single-remote case.
         return next(iter(self.sites.remotes.values())).snapshot
-
-    @property
-    def _drain_source(self) -> Callable[..., Database]:
-        """The *blocking* fetch the drain settles against — never the
-        async queue: a nowait raise mid-settle would leak an unconsumed
-        future on the entry it was trying to settle."""
-        if self.remote_link is not None:
-            return self.remote_link.fetch
-        return self.remote_source
 
     def local_database(self) -> Database:
         """The union of the shard slices — equal, update for update, to
@@ -676,12 +647,11 @@ class ShardedChecker:
             session.effect_log.begin_slice((journal_pos,))
         self._seq_cells[shard][0] = next(self._arrival)
         before = session.stats.remote_fetches
-        if txns is None:
-            reports = session.process(update, remote=self.remote_source)
-        else:
-            reports = session.process(
-                update, remote=self._drain_source, transaction=txns[shard]
-            )
+        reports = session.process(
+            update,
+            remote=self.remote_source,
+            transaction=None if txns is None else txns[shard],
+        )
         self.stats.remote_round_trips += (
             session.stats.remote_fetches - before
         )
@@ -742,14 +712,12 @@ class ShardedChecker:
 
         Each update is routed as :meth:`process` routes it and checked
         against the state its predecessors left, inside one
-        :meth:`CheckSession.transaction` per shard.  A transaction needs
-        settled verdicts, so escalations fetch through the blocking link,
-        never the async queue.  If any update aborts the transaction
-        (:func:`~repro.core.session.aborts_transaction`), every shard's
-        transaction rolls back, restoring each slice and its maintained
-        materializations exactly.  The slices are disjoint, so the
-        per-shard rollbacks add up to the global one.  Rebalancing waits
-        until the transaction ends.
+        :meth:`CheckSession.transaction` per shard.  If any update aborts
+        the transaction (:func:`~repro.core.session.aborts_transaction`),
+        every shard's transaction rolls back, restoring each slice and
+        its maintained materializations exactly.  The slices are
+        disjoint, so the per-shard rollbacks add up to the global one.
+        Rebalancing waits until the transaction ends.
 
         Returns ``(committed, reports_per_update)``; processing stops at
         the aborting update.  The process executor is refused: its
@@ -1210,12 +1178,8 @@ class ShardedChecker:
         dark site or whose settle would not commute with an already
         skipped entry (the dark/blocked sets are shared across the
         shards — the compiler, and hence the commutation guard, is);
-        an unattributed failure (an entry whose overlapped escalation
-        future is still in flight counts: the drain must not settle from
-        data it does not have yet) stops the walk as before.  Every
-        still-queued reversal is re-applied on the way out.  The drain
-        always settles through the *blocking* fetch source, never the
-        async queue.
+        an unattributed failure stops the walk as before.  Every
+        still-queued reversal is re-applied on the way out.
         Returns ``(update, final_reports)`` pairs in settle order; never
         raises on an unreachable remote.
 
@@ -1272,7 +1236,7 @@ class ShardedChecker:
                 try:
                     entry = session._settle_at(
                         position,
-                        self._drain_source,
+                        self.remote_source,
                         CheckLevel.FULL_DATABASE,
                         quarantined[index],
                     )

@@ -49,10 +49,9 @@ class Site:
     harness sums ``simulated_cost`` rather than sleeping.
 
     Access is thread-safe: each metered method runs under one internal
-    lock, so a snapshot taken by an async escalation worker observes a
-    consistent database and consistent counters even while another
-    thread writes.  (Overlapped fetches and parallel shard execution
-    both snapshot sites from pool threads.)
+    lock, so a snapshot taken on one thread observes a consistent
+    database and consistent counters even while another thread writes.
+    (Parallel shard execution snapshots sites from pool threads.)
     """
 
     def __init__(

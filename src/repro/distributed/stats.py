@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
 from repro.core.outcomes import CheckLevel, CheckReport, Outcome
-from repro.core.session import CheckSession
+from repro.core.session import CheckSession, counters_from_dict
+from repro.errors import ReproError
 
 __all__ = ["ProtocolStats", "sync_session_gauges"]
 
@@ -147,9 +148,16 @@ class ProtocolStats:
     def from_dict(cls, payload: dict) -> "ProtocolStats":
         data = dict(payload)
         levels = data.pop("resolved_at_level", {})
-        stats = cls(**data)
+        stats = counters_from_dict(cls, data)
         for key, count in levels.items():
-            stats.resolved_at_level[CheckLevel(int(key))] = count
+            try:
+                level = CheckLevel(int(key))
+            except ValueError as exc:
+                raise ReproError(
+                    f"checkpoint ProtocolStats carries a level this build "
+                    f"does not know: {key}"
+                ) from exc
+            stats.resolved_at_level[level] = count
         return stats
 
     def record_reports(

@@ -132,17 +132,8 @@ def token_from_json(payload: dict) -> UndoToken:
 
 
 def entry_to_json(entry: PendingVerdict) -> dict:
-    """A queued deferred verdict as a plain descriptor.
-
-    An overlapped-escalation future cannot ride the journal (it is a live
-    handle, not data), so an entry that carries one is described by a
-    *future-pending* marker instead: the predicates the fetch was covering
-    and whether it had landed when the descriptor was cut.  Recovery
-    re-queues the entry without a future — the resumed drain simply
-    re-fetches synchronously, which is sound because drains are never
-    journalled and remote site contents are fetch-order independent.
-    """
-    descriptor = {
+    """A queued deferred verdict as a plain descriptor."""
+    return {
         "seq": entry.seq,
         "update": update_to_json(entry.update),
         "unresolved": list(entry.unresolved),
@@ -150,22 +141,9 @@ def entry_to_json(entry: PendingVerdict) -> dict:
         "applied": entry.applied,
         "token": None if entry.token is None else token_to_json(entry.token),
     }
-    if entry.future is not None:
-        descriptor["future"] = {
-            "pending": not entry.future.done(),
-            "predicates": (
-                None
-                if entry.future_predicates is None
-                else sorted(entry.future_predicates)
-            ),
-        }
-    return descriptor
 
 
 def entry_from_json(payload: dict) -> PendingVerdict:
-    # A "future" marker (see entry_to_json) is informational only: the
-    # restored entry never carries a live future, so the resumed drain
-    # fetches its remote needs synchronously.
     reports = [report_from_json(r) for r in payload["reports"]]
     return PendingVerdict(
         seq=payload["seq"],
@@ -306,18 +284,6 @@ class JournalWriter:
             _encode_line(
                 {"t": "r", "pos": self.pos, "pred": predicate, "cuts": list(cuts)}
             )
-        )
-
-    def record_future_patch(self, seq: int) -> None:
-        """Journal that a pending entry's in-flight fetch has landed.
-
-        Patches the future-pending marker a ``"u"`` record carried for the
-        entry with arrival stamp ``seq``: recovery clears the marker on the
-        matching descriptor, so a manifest-less resume still knows the
-        overlap window closed before the record was cut.
-        """
-        self._buffer.append(
-            _encode_line({"t": "fp", "pos": self.pos, "seq": seq})
         )
 
     def safe_point(self, defer_checkpoint: bool = False) -> None:

@@ -69,7 +69,10 @@ def load_meta(directory: str) -> Optional[dict]:
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ReproError(f"{path}: not a JSON run fingerprint: {exc}") from exc
 
 
 @dataclass
@@ -201,18 +204,6 @@ def recover(directory: str) -> RecoveredState:
     for record in records:
         if record.get("t") == "r":
             state.cuts[record["pred"]] = list(record["cuts"])
-
-    # Future patches: an "fp" record says the in-flight fetch journalled
-    # with the matching pending descriptor landed before the crash —
-    # clear the marker so the recovered descriptors reflect it.
-    landed = {
-        record["seq"] for record in records if record.get("t") == "fp"
-    }
-    if landed:
-        for descriptor in state.pending:
-            marker = descriptor.get("future")
-            if marker is not None and int(descriptor["seq"]) in landed:
-                descriptor["future"] = dict(marker, pending=False)
 
     for descriptor in state.pending:
         state.seq = max(state.seq, int(descriptor["seq"]))

@@ -25,7 +25,6 @@ from repro.distributed.remote import (
     BreakerState,
     FederationLink,
     FetchPolicy,
-    RemoteFetchInFlight,
     RemoteLink,
     resolve_escalation_link,
 )
@@ -177,8 +176,7 @@ class TestSiteNeedClassification:
         assert compiler.single_binding("emp")
 
 
-def make_federation(parallel=True, snapshot_ttl=None, latency=0.0,
-                    down=(), **policy_kwargs):
+def make_federation(snapshot_ttl=None, latency=0.0, down=(), **policy_kwargs):
     """Two sites (r1: closedDept, r2: salFloor) behind their own links."""
     fed = FederatedDatabase(
         local=Site("local", {"emp": [("ann", "toys", 50)]}),
@@ -198,9 +196,7 @@ def make_federation(parallel=True, snapshot_ttl=None, latency=0.0,
         links[name] = RemoteLink(
             UnreliableRemote(site, faults), FetchPolicy(**policy_kwargs)
         )
-    link = FederationLink(
-        links, fed.site_of, parallel=parallel, snapshot_ttl=snapshot_ttl
-    )
+    link = FederationLink(links, fed.site_of, snapshot_ttl=snapshot_ttl)
     return fed, link
 
 
@@ -230,46 +226,15 @@ class TestFederationLink:
         assert link.links["r2"].stats.fetches_ok == 1
 
     def test_parallel_clock_is_max_sequential_is_sum(self):
-        _, parallel_link = make_federation(parallel=True, latency=0.25)
-        parallel_link.fetch(["closedDept", "salFloor"])
-        assert parallel_link.clock == pytest.approx(0.25)
-
-        _, sequential_link = make_federation(parallel=False, latency=0.25)
-        sequential_link.fetch(["closedDept", "salFloor"])
-        assert sequential_link.clock == pytest.approx(0.5)
-
-    def test_fetch_nowait_composite_future(self):
-        _, link = make_federation()
-        with pytest.raises(RemoteFetchInFlight) as excinfo:
-            link.fetch_nowait(["closedDept", "salFloor"])
-        db = excinfo.value.future.result(timeout=5)
-        assert db.facts("closedDept") and db.facts("salFloor")
-        assert link.wait_inflight(timeout=5)
-        link.close()
-        link.close()  # federation close is idempotent too
-
-    def test_fetch_nowait_composite_failure_attribution(self):
-        _, link = make_federation(down={"r2"})
-        with pytest.raises(RemoteFetchInFlight) as excinfo:
-            link.fetch_nowait(["closedDept", "salFloor"])
-        with pytest.raises(RemoteUnavailableError) as failure:
-            excinfo.value.future.result(timeout=5)
-        assert failure.value.sites == frozenset({"r2"})
-
-    def test_fetch_nowait_all_breakers_open_fails_synchronously(self):
-        # a long cooldown keeps both breakers fast-failing (no half-open
-        # probe), so the fan-out can fail without going async at all
-        _, link = make_federation(
-            down={"r1", "r2"}, failure_threshold=1, cooldown_fetches=10
-        )
-        for _ in range(2):  # trip both breakers
-            with pytest.raises(RemoteUnavailableError):
-                link.fetch(["closedDept", "salFloor"])
-        assert link.state is BreakerState.OPEN
-        with pytest.raises(RemoteUnavailableError) as excinfo:
-            link.fetch_nowait(["closedDept", "salFloor"])
-        assert not isinstance(excinfo.value, RemoteFetchInFlight)
-        assert excinfo.value.sites == frozenset({"r1", "r2"})
+        # The federation clock charges the slowest site (the sites
+        # answering concurrently); each link clock carries its own share,
+        # so their sum is what one-site-at-a-time fetching costs.
+        _, link = make_federation(latency=0.25)
+        link.fetch(["closedDept", "salFloor"])
+        assert link.clock == pytest.approx(0.25)
+        assert sum(
+            site_link.clock for site_link in link.links.values()
+        ) == pytest.approx(0.5)
 
     def test_snapshot_cache_serves_repeat_escalations(self):
         _, link = make_federation(snapshot_ttl=10.0)
@@ -514,8 +479,7 @@ def n2_updates(seed):
     return updates
 
 
-def n2_build(federated, fault_rate, seed, shards, parallelism, overlap,
-             pessimistic):
+def n2_build(federated, fault_rate, seed, shards, parallelism, pessimistic):
     sites = FederatedDatabase(
         local=Site("local", {"emp": [("ann", "toys", 50)]}),
         remotes=[
@@ -543,23 +507,17 @@ def n2_build(federated, fault_rate, seed, shards, parallelism, overlap,
         N2_CONSTRAINTS, sites, shards=shards, parallelism=parallelism,
         apply_on_unknown=not pessimistic,
         remote_links={"remote": link},
-        overlap_remote=overlap,
     )
     return checker, link
 
 
-def n2_run(federated, fault_rate, seed, shards, parallelism, overlap,
-           pessimistic):
+def n2_run(federated, fault_rate, seed, shards, parallelism, pessimistic):
     checker, link = n2_build(
-        federated, fault_rate, seed, shards, parallelism, overlap,
-        pessimistic,
+        federated, fault_rate, seed, shards, parallelism, pessimistic
     )
     results = checker.check_stream(n2_updates(seed))
-    if overlap:
-        link.wait_inflight(timeout=10)
     heal(link)
     settled = drain(checker)
-    link.close()
     return (
         verdicts(results),
         sorted(
@@ -584,22 +542,19 @@ class TestLegacyEquivalence:
         pessimistic=st.booleans(),
         shards=st.sampled_from([1, 2]),
         parallelism=st.sampled_from([1, 2]),
-        overlap=st.booleans(),
     )
     def test_federation_at_n2_is_byte_identical(
-        self, seed, fault_rate, pessimistic, shards, parallelism, overlap
+        self, seed, fault_rate, pessimistic, shards, parallelism
     ):
         # concurrency reorders fault draws between runs, so faulted
-        # cases stick to the deterministic synchronous schedule
+        # cases stick to the deterministic serial schedule
         if fault_rate:
-            parallelism, overlap = 1, False
+            parallelism = 1
         plain = n2_run(
-            False, fault_rate, seed, shards, parallelism, overlap,
-            pessimistic,
+            False, fault_rate, seed, shards, parallelism, pessimistic
         )
         federated = n2_run(
-            True, fault_rate, seed, shards, parallelism, overlap,
-            pessimistic,
+            True, fault_rate, seed, shards, parallelism, pessimistic
         )
         assert federated[0] == plain[0]  # stream verdicts
         assert federated[1] == plain[1]  # drained verdicts

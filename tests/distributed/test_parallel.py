@@ -1,38 +1,23 @@
-"""Parallel shard execution and overlapped remote escalation.
+"""Parallel shard execution.
 
-Two contracts under test:
-
-* ``ShardedChecker(parallelism=N)`` — the fence-scheduled thread pool
-  must produce verdicts, final state, and protocol counters identical to
-  the serial checker for any stream (fences are the only updates that
-  serialize; everything else may interleave freely across shards);
-* ``RemoteLink.fetch_nowait`` / ``overlap_remote`` — an in-stream
-  escalation defers immediately with the fetch's future in tow, the
-  drain settles from that future once it completes, and — critically —
-  the drain must **not** settle an entry whose future is still
-  outstanding.
+``ShardedChecker(parallelism=N)`` — the fence-scheduled thread pool must
+produce verdicts, final state, and protocol counters identical to the
+serial checker for any stream (fences are the only updates that
+serialize; everything else may interleave freely across shards).
 """
 
 import random
-import threading
 
 import pytest
 
 from repro.constraints.constraint import Constraint, ConstraintSet
-from repro.core.outcomes import CheckLevel, Outcome
 from repro.core.session import CheckSession
-from repro.distributed.remote import (
-    FetchPolicy,
-    RemoteFetchInFlight,
-    RemoteLink,
-)
 from repro.distributed.sharded import (
     KeyRangePartitioner,
     PredicatePartitioner,
     ShardedChecker,
 )
 from repro.distributed.site import FederatedDatabase, Site
-from repro.errors import RemoteUnavailableError
 from repro.updates.update import Deletion, Insertion, Modification
 
 # Mixed footprint set (mirrors test_sharded): p/q/s all appear in the
@@ -120,51 +105,10 @@ def weighted_stream(seed, count, weights, domain=7):
     return updates
 
 
-class GatedRemote:
-    """A remote whose snapshot blocks until the test opens the gate."""
-
-    def __init__(self, site):
-        self.site = site
-        self.gate = threading.Event()
-        self.calls = 0
-
-    def snapshot(self, predicates=None):
-        self.calls += 1
-        self.gate.wait(timeout=10.0)
-        return self.site.snapshot(predicates=predicates)
-
-
-class FailFirstRemote:
-    """Fails its first N snapshots, then heals."""
-
-    def __init__(self, site, fail_first=1):
-        self.site = site
-        self.fail_first = fail_first
-        self.calls = 0
-
-    def snapshot(self, predicates=None):
-        self.calls += 1
-        if self.calls <= self.fail_first:
-            raise RemoteUnavailableError("down")
-        return self.site.snapshot(predicates=predicates)
-
-
 class TestConstruction:
     def test_parallelism_must_be_positive(self):
         with pytest.raises(ValueError, match="parallelism"):
             ShardedChecker(CONSTRAINTS, make_sites(), parallelism=0)
-
-    def test_overlap_remote_needs_a_link(self):
-        with pytest.raises(ValueError, match="overlap_remote"):
-            ShardedChecker(CONSTRAINTS, make_sites(), overlap_remote=True)
-        with pytest.raises(ValueError, match="overlap_remote"):
-            ShardedChecker(
-                CONSTRAINTS, make_sites(), shards=1, overlap_remote=True
-            )
-
-    def test_async_workers_must_be_positive(self):
-        with pytest.raises(ValueError, match="async_workers"):
-            RemoteLink(Site("r", {}), async_workers=0)
 
 
 class TestFenceClassification:
@@ -415,190 +359,3 @@ class TestStatsUnderParallelism:
         assert parallel.stats.resolved_at_level == serial.stats.resolved_at_level
         assert parallel.stats.updates == len(updates)
         assert parallel.stats.parallel_segments > 0
-
-
-class TestFetchNowait:
-    def test_raises_in_flight_with_future_and_predicates(self):
-        link = RemoteLink(Site("remote", {"rem": [(3,)]}))
-        try:
-            with pytest.raises(RemoteFetchInFlight) as caught:
-                link.fetch_nowait(predicates={"rem"})
-            exc = caught.value
-            assert exc.reason == "in-flight"
-            assert exc.predicates == frozenset({"rem"})
-            assert exc.future.result(timeout=10.0).facts("rem") == {(3,)}
-            assert link.stats.fetches_async == 1
-            # The pooled worker runs an ordinary fetch underneath.
-            assert link.wait_inflight(timeout=10.0)
-            assert link.stats.fetches == 1
-            assert link.stats.fetches_ok == 1
-            assert link.inflight == 0
-        finally:
-            link.close()
-
-    def test_open_breaker_fast_fails_synchronously(self):
-        policy = FetchPolicy(max_attempts=1, failure_threshold=1)
-        link = RemoteLink(FailFirstRemote(Site("r", {}), fail_first=99), policy)
-        with pytest.raises(RemoteUnavailableError):
-            link.fetch()  # opens the breaker
-        try:
-            with pytest.raises(RemoteUnavailableError) as caught:
-                link.fetch_nowait()
-            assert caught.value.reason == "circuit-open"
-            assert not isinstance(caught.value, RemoteFetchInFlight)
-            assert link.stats.fetches_async == 0
-            assert link.stats.fetches_fast_failed == 1
-            assert link.inflight == 0
-        finally:
-            link.close()
-
-    def test_wait_inflight_is_immediate_when_idle(self):
-        link = RemoteLink(Site("r", {}))
-        assert link.wait_inflight(timeout=0.1)
-        link.close()
-
-
-class TestOverlappedEscalation:
-    """overlap_remote: escalations defer with the future in tow; the
-    drain settles from the future only once it has completed."""
-
-    def make_checker(self, remote, **link_kwargs):
-        sites = make_sites()
-        wrapped = remote(sites.remotes["remote"])
-        link = RemoteLink(wrapped, **link_kwargs)
-        checker = ShardedChecker(
-            CONSTRAINTS, sites, shards=2,
-            remote_links={"remote": link}, overlap_remote=True,
-        )
-        return checker, link, wrapped
-
-    def test_escalation_defers_in_stream(self):
-        checker, link, remote = self.make_checker(GatedRemote)
-        try:
-            reports = checker.process(Insertion("q", (1, 3)))
-            by_name = {r.constraint_name: r for r in reports}
-            assert by_name["c_rem"].outcome is Outcome.DEFERRED
-            assert checker.pending_count == 1
-            assert link.stats.fetches_async == 1
-        finally:
-            remote.gate.set()
-            link.wait_inflight(timeout=10.0)
-            link.close()
-
-    def test_drain_does_not_settle_outstanding_future(self):
-        checker, link, remote = self.make_checker(GatedRemote)
-        try:
-            checker.process(Insertion("q", (1, 3)))
-            # The fetch is gated: its future cannot have completed, and
-            # the drain must leave the entry queued rather than settle
-            # from data it does not have yet.
-            assert checker.resolve_pending() == []
-            assert checker.pending_count == 1
-
-            remote.gate.set()
-            assert link.wait_inflight(timeout=10.0)
-            settled = checker.resolve_pending()
-            assert len(settled) == 1
-            update, reports = settled[0]
-            assert update == Insertion("q", (1, 3))
-            by_name = {r.constraint_name: r for r in reports}
-            assert by_name["c_rem"].outcome is Outcome.VIOLATED
-            assert by_name["c_rem"].level is CheckLevel.FULL_DATABASE
-            # Settled from the future's result: the remote saw exactly
-            # one snapshot (the overlapped one), no drain re-fetch.
-            assert remote.calls == 1
-            # The optimistic q fact was rolled back with the rejection.
-            assert db_state(checker.local_database()) == {}
-            assert checker.stats.rejected == 1
-            assert checker.stats.deferred_resolved == 1
-        finally:
-            remote.gate.set()
-            link.close()
-
-    def test_failed_future_falls_back_to_blocking_refetch(self):
-        checker, link, remote = self.make_checker(
-            FailFirstRemote,
-            policy=FetchPolicy(max_attempts=1, failure_threshold=10),
-        )
-        try:
-            checker.process(Insertion("q", (2, 5)))
-            assert link.wait_inflight(timeout=10.0)
-            # The future completed with a failure: the drain consumes it,
-            # surfaces the unavailability, and keeps the entry queued.
-            assert checker.resolve_pending() == []
-            assert checker.pending_count == 1
-            # Next round re-fetches through the blocking source; the
-            # remote has healed, so the entry settles (no rem(5)).
-            settled = checker.resolve_pending()
-            assert len(settled) == 1
-            _, reports = settled[0]
-            assert all(r.outcome is Outcome.SATISFIED for r in reports)
-            assert remote.calls == 2
-        finally:
-            link.close()
-
-    def test_too_narrow_future_is_discarded_and_refetched(self):
-        checker, link, remote = self.make_checker(GatedRemote)
-        try:
-            checker.process(Insertion("q", (1, 3)))
-            shard = checker.partitioner.owner("q")
-            entry = checker.sessions[shard]._pending[0]
-            assert entry.future is not None
-            # Pretend the overlapped fetch covered no predicates at all:
-            # the settle needs rem, so the future must be discarded and
-            # the drain must fetch synchronously instead.
-            entry.future_predicates = frozenset()
-            remote.gate.set()
-            assert link.wait_inflight(timeout=10.0)
-            settled = checker.resolve_pending()
-            assert len(settled) == 1
-            _, reports = settled[0]
-            by_name = {r.constraint_name: r for r in reports}
-            assert by_name["c_rem"].outcome is Outcome.VIOLATED
-            assert remote.calls == 2  # overlapped fetch + drain re-fetch
-        finally:
-            remote.gate.set()
-            link.close()
-
-    def test_distributed_checker_overlap_settles_equivalently(self):
-        stream = [
-            Insertion("p", (1, 2)),
-            Insertion("q", (2, 5)),
-            Insertion("q", (1, 3)),
-            Insertion("s", (5, 1)),
-        ]
-
-        def run(overlap):
-            sites = make_sites()
-            link = RemoteLink(sites.remotes["remote"])
-            checker = ShardedChecker(
-                CONSTRAINTS, sites, shards=1,
-                remote_links={"remote": link}, overlap_remote=overlap,
-            )
-            in_stream = checker.check_stream(stream)
-            link.wait_inflight(timeout=10.0)
-            settled = checker.resolve_pending()
-            link.close()
-            return in_stream, settled, db_state(checker.local_database())
-
-        blocking_stream, blocking_settled, blocking_db = run(False)
-        overlap_stream, overlap_settled, overlap_db = run(True)
-
-        assert blocking_settled == []
-        assert overlap_db == blocking_db
-        # Escalating updates defer in-stream under overlap…
-        deferred_positions = [
-            index
-            for index, reports in enumerate(overlap_stream)
-            if any(r.outcome is Outcome.DEFERRED for r in reports)
-        ]
-        assert deferred_positions == [1, 2]  # the two q inserts
-        # …and their settled verdicts match the blocking run's in-stream
-        # verdicts, in stream order.
-        assert [
-            (update, verdict_key(reports))
-            for update, reports in overlap_settled
-        ] == [
-            (stream[index], verdict_key(blocking_stream[index]))
-            for index in deferred_positions
-        ]

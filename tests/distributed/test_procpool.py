@@ -81,16 +81,6 @@ class TestExecutorValidation:
         with pytest.raises(ValueError, match="executor"):
             serial_checker(executor="fiber")
 
-    def test_overlap_remote_needs_threads(self):
-        link = RemoteLink(make_sites().remotes["remote"])
-        try:
-            with pytest.raises(ValueError, match="process boundary"):
-                process_checker(
-                    remote_links={"remote": link}, overlap_remote=True
-                )
-        finally:
-            link.close()
-
     def test_session_factory_needs_threads(self):
         from repro.core.session import CheckSession
 

@@ -10,7 +10,6 @@ from repro.distributed.faults import FaultModel, UnreliableRemote
 from repro.distributed.remote import (
     BreakerState,
     FetchPolicy,
-    RemoteFetchInFlight,
     RemoteLink,
 )
 from repro.distributed.site import Site
@@ -216,115 +215,3 @@ class TestLinkInvariants:
         link.fetch()
         assert link.clock == pytest.approx(0.25)
         assert link.stats.attempt_latency == pytest.approx(0.25)
-
-
-class TestTeardown:
-    def test_close_is_idempotent(self):
-        link = make_link([True])
-        link.fetch()
-        link.close()
-        link.close()  # second close must be a no-op, not an error
-
-    def test_wait_inflight_after_close(self):
-        link = make_link([True])
-        link.close()
-        assert link.wait_inflight(timeout=0.1) is True
-
-    def test_fetch_after_close_still_works_synchronously(self):
-        # close() only tears down the async pool; the synchronous path
-        # (used by the post-stream drain) must keep working.
-        link = make_link([True, True])
-        link.fetch()
-        link.close()
-        db = link.fetch()
-        assert db.facts("reading")
-
-    def test_fetch_nowait_after_close_is_rejected_not_resurrected(self):
-        link = make_link([True])
-        link.close()
-        with pytest.raises(RemoteUnavailableError) as caught:
-            link.fetch_nowait()
-        assert caught.value.reason == "closed"
-        assert not isinstance(caught.value, RemoteFetchInFlight)
-        assert link._pool is None, "closed link must not rebuild its pool"
-        assert link.inflight == 0
-
-    def test_close_races_concurrent_fetch_nowait_deterministically(self):
-        """Stress the close()/fetch_nowait race: regression for the pool
-        being swapped out under the lock but submitted to outside it.
-
-        Many threads issue async fetches against a latency-bearing flaky
-        remote while another closes the link mid-storm.  Every call must
-        either (a) raise RemoteFetchInFlight whose future settles with a
-        result or RemoteUnavailableError — never CancelledError, never a
-        raw pool RuntimeError — or (b) be rejected with reason
-        ``"closed"``.  After close() returns, no pool thread may still
-        be writing stats, and the counters must balance exactly.
-        """
-        import threading
-        import time
-
-        for seed in range(5):
-            faults = FaultModel(
-                failure_rate=0.3, latency=0.05, latency_jitter=0.05, seed=seed
-            )
-            site = Site("remote", {"rem": [(1,)]})
-            remote = UnreliableRemote(site, faults)
-            # A touch of real latency keeps fetches genuinely in flight
-            # when close() lands (the FaultModel clock is simulated).
-            real_snapshot = remote.snapshot
-
-            def slow_snapshot(predicates=None, timeout=None, _s=real_snapshot):
-                time.sleep(0.001)
-                return _s(predicates=predicates, timeout=timeout)
-
-            remote.snapshot = slow_snapshot
-            link = RemoteLink(
-                remote, FetchPolicy(max_attempts=2), seed=seed, async_workers=4
-            )
-
-            futures = []
-            outcomes = []
-            outcome_lock = threading.Lock()
-            start = threading.Barrier(9)
-
-            def worker():
-                start.wait()
-                for _ in range(8):
-                    try:
-                        link.fetch_nowait(predicates={"rem"})
-                    except RemoteFetchInFlight as exc:
-                        with outcome_lock:
-                            futures.append(exc.future)
-                            outcomes.append("in-flight")
-                    except RemoteUnavailableError as exc:
-                        with outcome_lock:
-                            outcomes.append(exc.reason)
-
-            threads = [threading.Thread(target=worker) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            start.wait()
-            time.sleep(0.002)
-            link.close()  # mid-storm; must wait for submitted fetches
-            for thread in threads:
-                thread.join(timeout=30.0)
-                assert not thread.is_alive()
-
-            # close() returned: every submitted fetch already ran, so the
-            # stats are final and the accounting balances exactly.
-            assert link.inflight == 0
-            for future in futures:
-                assert future.done(), "close() must wait for queued fetches"
-                try:
-                    future.result(timeout=0)
-                except RemoteUnavailableError:
-                    pass  # a flaky fetch exhausting its budget is fine
-            assert set(outcomes) <= {"in-flight", "closed", "circuit-open"}
-            submitted = outcomes.count("in-flight")
-            assert submitted == len(futures) == link.stats.fetches_async
-            # And the closed link stays closed.
-            with pytest.raises(RemoteUnavailableError) as caught:
-                link.fetch_nowait()
-            assert caught.value.reason == "closed"
-            assert link._pool is None

@@ -90,33 +90,6 @@ class TestSerialization:
         assert clone.applied is True
         assert clone.token.insertions == {"p": {(1, 2)}}
 
-    @pytest.mark.parametrize("done", [False, True])
-    def test_in_flight_future_round_trips_as_marker(self, done):
-        class _Future:
-            def done(self):
-                return done
-
-        entry = PendingVerdict(
-            seq=1,
-            update=Insertion("p", (1,)),
-            unresolved=("c1",),
-            reports={},
-            applied=False,
-            token=None,
-            future=_Future(),
-            future_predicates={"dept", "emp"},
-        )
-        descriptor = json.loads(json.dumps(entry_to_json(entry)))
-        assert descriptor["future"] == {
-            "pending": not done,
-            "predicates": ["dept", "emp"],
-        }
-        # The live future never crosses the journal: the restored entry
-        # re-fetches synchronously in the resumed drain.
-        clone = entry_from_json(descriptor)
-        assert clone.future is None
-        assert clone.unresolved == ("c1",)
-
 
 class TestFraming:
     def test_round_trip(self):

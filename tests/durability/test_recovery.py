@@ -274,17 +274,13 @@ def test_kill_anywhere_resume_equivalence(
         assert final_facts(crash_dir) == final_facts(clean_dir)
 
 
-#: executor/overlap configurations the journal must survive a kill under.
+#: executor configurations the journal must survive a kill under.
 #: Fault-free on purpose: concurrent shard slices draw from the shared
 #: link RNG in settle order, so a faulty parallel run is not
 #: deterministic run-to-run — the serial property above keeps the fault
 #: regime covered.
 EXECUTOR_MODES = {
-    "serial-overlap": ["--overlap-remote"],
     "parallel": ["--shards", "2", "--parallel", "2"],
-    "parallel-overlap": [
-        "--shards", "2", "--parallel", "2", "--overlap-remote",
-    ],
     "process": ["--shards", "2", "--executor", "process"],
 }
 
@@ -300,8 +296,8 @@ EXECUTOR_MODES = {
 def test_kill_anywhere_resume_equivalence_across_executors(
     mode, crash_at, sync_every, checkpoint_every, seed
 ):
-    """The kill-anywhere property across the parallel, process-pool, and
-    overlapped configurations: effects journal at settle time but commit
+    """The kill-anywhere property across the parallel and process-pool
+    configurations: effects journal at settle time but commit
     in arrival order, so a crash at ANY committed record still loses a
     consistent suffix and ``--resume`` reproduces the uninterrupted
     run's verdicts, exit code, and final facts byte-for-byte."""
@@ -473,6 +469,51 @@ def test_resume_refuses_a_different_configuration(tmp_path):
     assert err.getvalue().startswith("error: ")
     assert "--resume configuration differs" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("stats", ["protocol", "level", "session", "link"])
+def test_resume_refuses_an_unknown_manifest_counter(tmp_path, stats):
+    """A manifest counter this build does not know — a journal written by
+    a build with other counters, which the fingerprint does not record —
+    is a typed error naming the counter, not a raw ``TypeError`` or
+    ``ValueError``."""
+    base = write_workload_files(str(tmp_path), 6, seed=0) + ["--retries", "2"]
+    journal = str(tmp_path / "journal")
+    code, _ = run_cli(base + ["--journal", journal])
+    assert code == 0
+    manifest = latest_checkpoint(journal)
+    counters = {
+        "protocol": manifest["stats"],
+        "level": manifest["stats"]["resolved_at_level"],
+        "session": manifest["session_stats"][0],
+        "link": manifest["link"]["stats"],
+    }[stats]
+    counters["retired_counter"] = 0
+    write_checkpoint(journal, manifest)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(base + ["--journal", journal, "--resume"])
+    assert code == 3
+    assert err.getvalue().startswith("error: ")
+    assert "retired_counter" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_resume_refuses_a_malformed_meta_json(tmp_path):
+    base = write_workload_files(str(tmp_path), 6, seed=0)
+    journal = str(tmp_path / "journal")
+    code, _ = run_cli(base + ["--journal", journal])
+    assert code == 0
+    with open(os.path.join(journal, "meta.json"), "w") as fh:
+        fh.write('{"shards": 0')
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(base + ["--journal", journal, "--resume"])
+    assert code == 3
+    assert err.getvalue().startswith("error: ")
+    assert "meta.json" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
 
 def test_fresh_journal_refuses_a_populated_directory(tmp_path):
     base = write_workload_files(str(tmp_path), 6, seed=0)

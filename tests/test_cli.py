@@ -320,42 +320,19 @@ class TestCommands:
         assert code == 1
         assert "ROLLED BACK" in capsys.readouterr().out
 
-    def transaction_run(self, constraint_file, db_file, tmp_path, capsys, *extra):
+    def test_check_stream_transaction_counts_level1_lookups(
+        self, constraint_file, db_file, tmp_path, capsys
+    ):
         stream = tmp_path / "stream.txt"
         stream.write_text("+emp(carl, toys, 55)\n-emp(ann, toys, 50)\n")
         code = main(
             ["check-stream", constraint_file, "--db", db_file,
              "--updates", str(stream), "--local", "emp", "--transaction",
-             "-v", *extra]
+             "-v"]
         )
-        verdicts, _, table = capsys.readouterr().out.partition("\n\n")
-        return code, verdicts, table
-
-    def test_check_stream_transaction_counts_level1_lookups(
-        self, constraint_file, db_file, tmp_path, capsys
-    ):
-        code, _, table = self.transaction_run(
-            constraint_file, db_file, tmp_path, capsys
-        )
+        _, _, table = capsys.readouterr().out.partition("\n\n")
         assert code == 0
         assert re.search(r"level-1 cache misses\s+[1-9]", table)
-
-    def test_check_stream_transaction_with_overlap_remote_commits(
-        self, constraint_file, db_file, tmp_path, capsys
-    ):
-        """A transaction needs settled verdicts, so its escalation (the
-        remote ``dept`` check of the hire) goes through the blocking
-        fetch even under --overlap-remote: a healthy remote commits."""
-        code, verdicts, _ = self.transaction_run(
-            constraint_file, db_file, tmp_path, capsys
-        )
-        assert code == 0
-        assert "[remote access]" in verdicts
-        assert verdicts.endswith("transaction: COMMITTED")
-        overlapped = self.transaction_run(
-            constraint_file, db_file, tmp_path, capsys, "--overlap-remote"
-        )
-        assert overlapped[:2] == (0, verdicts)
 
     def test_missing_file_is_reported(self, capsys):
         assert main(["classify", "/nonexistent/path.dl"]) == 3
@@ -570,10 +547,7 @@ class TestExecutorAndRebalanceFlags:
         "extra, message",
         [
             (["--executor", "process"], "needs --shards"),
-            (
-                ["--shards", "2", "--executor", "process", "--overlap-remote"],
-                "thread executor",
-            ),
+            (["--sites", "0"], "--sites needs at least 2"),
             (["--shards", "2", "--rebalance"], "needs --shards and --shard-by"),
             (
                 ["--shards", "2", "--shard-by", "hot=50", "--rebalance", "0"],
@@ -593,6 +567,7 @@ class TestExecutorAndRebalanceFlags:
                 ["--shards", "2", "--executor", "process", "--transaction"],
                 "--transaction needs the thread executor",
             ),
+            (["--snapshot-ttl", "-1"], "snapshot_ttl must be non-negative"),
         ],
     )
     def test_invalid_combinations_exit_3(self, tmp_path, capsys, extra, message):
@@ -650,7 +625,6 @@ class TestDurabilityFlags:
         [
             ("--shards", "2", "--parallel", "2"),
             ("--shards", "2", "--executor", "process"),
-            ("--overlap-remote",),
         ],
     )
     def test_journal_accepts_parallel_and_process_modes(
@@ -814,3 +788,56 @@ panic :- emp(E, D, S) & deptBudget(D, B) & S > B
         assert [v.split(": ")[1] for v in verdicts] == [
             "applied", "applied", "REJECTED",
         ]
+
+
+class TestRemoteFetching:
+    """Escalations fetch on the thread that needs them, and the snapshot
+    cache serves them whatever the number of remote sites."""
+
+    STREAM = (
+        '+emp("bob", "books", 90)\n+emp("eve", "toys", 10)\n'
+        '+emp("carl", "toys", 55)\n+emp("dan", "sales", 85)\n'
+        '-emp("ann", "toys", 50)\n'
+    )
+
+    def run(self, tmp_path, capsys, *extra):
+        import pathlib
+
+        data = pathlib.Path(__file__).resolve().parent.parent / "examples" / "data"
+        (tmp_path / "s.txt").write_text(self.STREAM)
+        code = main(
+            ["check-stream", str(data / "employee_constraints.dl"),
+             "--db", str(data / "employee_db.json"),
+             "--updates", str(tmp_path / "s.txt"), "--local", "emp", *extra]
+        )
+        out = capsys.readouterr().out
+        verdicts = [
+            line for line in out.splitlines() if line.startswith(("+emp", "-emp"))
+        ]
+        return code, verdicts, out
+
+    def test_federated_stream_starts_no_thread(self, tmp_path, capsys, monkeypatch):
+        import threading
+
+        started = []
+        real_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        code, verdicts, out = self.run(tmp_path, capsys, "--sites", "4")
+        assert code == 1 and len(verdicts) == 5
+        assert re.search(r"federated fan-outs\s+[1-9]", out)
+        assert started == []
+
+    def test_snapshot_cache_serves_the_single_remote(self, tmp_path, capsys):
+        plain = self.run(tmp_path, capsys, "--sites", "2")
+        cached = self.run(
+            tmp_path, capsys, "--sites", "2", "--snapshot-ttl", "1000"
+        )
+        assert cached[:2] == plain[:2]
+        assert "snapshot cache" not in plain[2]
+        hits = re.search(r"snapshot cache hits\s+(\d+)", cached[2])
+        assert hits and int(hits[1]) > 0
